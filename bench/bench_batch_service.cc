@@ -220,6 +220,9 @@ Tree BenchTree(std::size_t nodes) {
 // gap must widen asymptotically with the tree (the acceptance bar:
 // measurably faster at >= 2k nodes). Served through a DocumentStore so
 // the persistent AxisCache and plan memo isolate the evaluation cost.
+// The full-relation shape has two arms: cold (second arg 0, no
+// RelationCache -- every iteration evaluates) and warm (1, the default
+// cache -- after the first job every iteration is a cache hit).
 
 /// A general-PPLbin query: a positive chain with complements of leaf
 /// steps inside, so the full-relation path needs Boolean products while
@@ -236,9 +239,12 @@ std::string ShapeBenchQueryText() {
   return ppl::ToXPath(*p)->ToString();
 }
 
-void RunShapeBench(benchmark::State& state, engine::ResultShape shape) {
+void RunShapeBench(benchmark::State& state, engine::ResultShape shape,
+                   bool relation_cache = true) {
   const auto tree_nodes = static_cast<std::size_t>(state.range(0));
-  engine::DocumentStore store;
+  engine::DocumentStoreOptions store_options;
+  if (!relation_cache) store_options.relation_cache_bytes = 0;
+  engine::DocumentStore store(store_options);
   const engine::DocumentId id = store.Insert(BenchTree(tree_nodes));
   engine::QueryService service(
       {.num_threads = 1, .document_store = &store});
@@ -261,9 +267,11 @@ void RunShapeBench(benchmark::State& state, engine::ResultShape shape) {
 }
 
 void BM_ShapeFullRelation(benchmark::State& state) {
-  RunShapeBench(state, engine::ResultShape::kFullRelation);
+  RunShapeBench(state, engine::ResultShape::kFullRelation,
+                /*relation_cache=*/state.range(1) != 0);
 }
-BENCHMARK(BM_ShapeFullRelation)->Arg(512)->Arg(2048)
+BENCHMARK(BM_ShapeFullRelation)
+    ->ArgsProduct({{512, 2048}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ShapeFromRootSet(benchmark::State& state) {
@@ -544,14 +552,17 @@ BENCHMARK(BM_SparseCompose)->Apply(ApplyCrossoverArgs);
 
 /// Service-level: the same query through the full compile-plan-execute
 /// path with the representation forced per job (repr 0 leaves the
-/// planner's dense/sparse crossover in charge -- the number the ROADMAP
+/// planner in charge -- GKP, dense or sparse, the number the ROADMAP
 /// acceptance compares against the forced extremes). Above the dense
-/// ceiling this is the previously-refused full-relation workload.
+/// ceiling this is the previously-refused full-relation workload. The
+/// RelationCache is off so every arm times evaluation, not a cache hit.
 void BM_CrossoverFullRelation(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto repr = static_cast<MatrixRepr>(state.range(2));
   Tree t = CrossoverTree(state.range(1), nodes);
-  engine::DocumentStore store;
+  engine::DocumentStoreOptions store_options;
+  store_options.relation_cache_bytes = 0;
+  engine::DocumentStore store(store_options);
   const engine::DocumentId id = store.Insert(std::move(t));
   engine::QueryService service(
       {.num_threads = 1, .document_store = &store});
@@ -576,6 +587,8 @@ void BM_CrossoverFullRelation(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   const engine::ServiceStats stats = service.stats();
+  state.counters["plan_gkp"] =
+      plan.engine == engine::EnginePlan::kGkpPositive ? 1.0 : 0.0;
   state.counters["plan_sparse"] =
       plan.repr == MatrixRepr::kSparse ? 1.0 : 0.0;
   state.counters["dense_products"] = static_cast<double>(stats.dense_products);

@@ -38,7 +38,8 @@ namespace {
 using namespace xpv;
 
 const char* kQueryMix[] = {
-    // Positive PPLbin -> GkpEngine (linear-time set images).
+    // Positive PPLbin: GkpEngine (linear-time set images) or the sparse
+    // matrix engine, whichever the planner prices cheaper.
     "descendant::book/child::author",
     "child::*[descendant::title]",
     "descendant::*[child::author]/following_sibling::*",

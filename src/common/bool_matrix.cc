@@ -88,10 +88,15 @@ BitVector BoolMatrix::NonEmptyRows() const {
 Result<BitMatrix> BoolMatrix::ToDense() const {
   if (const BitMatrix* dense = AsDense()) return *dense;
   XPV_ASSIGN_OR_RETURN(BitMatrix out, BitMatrix::Create(size()));
-  BitVector scratch;
+  // Every other representation is a run list: write each run straight
+  // into the zeroed matrix -- O(n + runs) after the allocation.
+  const IntervalMatrix* runs = AsInterval();
+  assert(runs != nullptr);
   for (std::size_t r = 0; r < size(); ++r) {
-    RowInto(r, scratch);
-    out.OrIntoRow(r, scratch);
+    auto [first, last] = runs->RunsOf(r);
+    for (auto it = first; it != last; ++it) {
+      out.SetRowRange(r, it->begin, it->end);
+    }
   }
   return out;
 }

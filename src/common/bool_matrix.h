@@ -104,6 +104,8 @@ class BoolMatrix {
   /// Dense copy of this relation. Fails with kResourceExhausted beyond
   /// BitMatrix::kMaxDenseNodes -- callers on the full-relation path are
   /// gated by the planner (engine/planner.h) before reaching this.
+  /// Run-list representations write run by run: O(n + runs) after the
+  /// allocation.
   Result<BitMatrix> ToDense() const;
 };
 

@@ -534,92 +534,83 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
     return plan;
   }
 
-  // Binary queries: monadic shapes take the row-restricted entry points
-  // of whichever engine wins the cost comparison. A kTupleStream plan on
-  // a binary query streams the monadic from-root node set as 1-tuples.
+  // Binary queries: the planner prices every admissible route -- GKP,
+  // matrix-dense and matrix-sparse -- and takes the cheapest. Monadic
+  // shapes take the row-restricted entry points of the winning engine. A
+  // kTupleStream plan on a binary query streams the monadic from-root
+  // node set as 1-tuples.
   if (shape == ResultShape::kTupleStream) {
     plan.backing = StreamBacking::kNodeSet;
   }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const bool monadic = shape != ResultShape::kFullRelation;
   const double matrix_cost = monadic
                                  ? MatrixMonadicCost(*q.pplbin, n)
                                  : MatrixFullCost(q.pplbin_size, n);
-  double gkp_cost = std::numeric_limits<double>::infinity();
-  if (q.positive) {
-    // Monadic: both engines run the identical BitVector propagation on a
-    // positive query, so the costs tie and the tie-break below prefers
-    // GKP (it shares the filter-domain cache across calls).
-    gkp_cost = monadic ? matrix_cost
-                       : static_cast<double>(q.pplbin_size) * n *
-                             (1.0 + DomainBound(*q.pplbin, tree));
-  }
-
-  EnginePlan chosen = gkp_cost <= matrix_cost ? EnginePlan::kGkpPositive
-                                              : EnginePlan::kMatrixGeneral;
-
-  // Dense/sparse crossover. Representation matters only where the matrix
-  // engine materializes relations: full-relation shapes, and monadic
-  // plans whose complement structure forces sub-matrices. Under the
-  // ceiling the decision compares the dense word-op cost against the
-  // run-merge estimate. Above the dense ceiling, where the dense route
-  // does not exist at all, the planner always routes such work onto the
-  // sparse matrix engine (lifting the old unconditional refusal): the
-  // run-shape estimate is averages-only and cannot see run coalescing
-  // (a composed step on a deep path produces one run per row where the
-  // estimate predicts n), so refusing on it would deny instances that
-  // evaluate fine. The engine's own run budget is the enforceable bound
-  // -- a genuinely dense instance trips kResourceExhausted at the first
-  // over-budget merge instead of allocating past the budget.
+  // Representation matters only where the matrix engine materializes
+  // relations: full-relation shapes, and monadic plans whose complement
+  // structure forces sub-matrices.
   const bool materializes =
       !monadic || HasNonStepComplement(*q.pplbin);
   const bool over_ceiling =
       n > static_cast<double>(BitMatrix::kMaxDenseNodes);
-  double sparse_cost = std::numeric_limits<double>::infinity();
-  MatrixRepr repr = MatrixRepr::kDense;
+
+  // Each route's estimate; +inf marks a route that is inadmissible here.
+  // Above the dense ceiling no dense n x n matrix can exist, so routes
+  // that materialize one drop out: full relations there take the sparse
+  // matrix route whatever its estimate. That estimate is averages-only
+  // and cannot see run coalescing (a composed step on a deep path
+  // produces one run per row where it predicts n), so refusing on it
+  // would deny instances that evaluate fine; the engine's run budget is
+  // the enforceable bound -- a genuinely dense instance trips
+  // kResourceExhausted at the first over-budget merge. Under the ceiling
+  // the sparse route must fit kSparseEvalByteBudget.
+  double gkp_raw = kInf;
+  if (q.positive) {
+    // Monadic: both engines run the identical BitVector propagation on a
+    // positive query, so the costs tie and the tie-break below prefers
+    // GKP (it shares the filter-domain cache across calls).
+    gkp_raw = monadic ? matrix_cost
+                      : static_cast<double>(q.pplbin_size) * n *
+                            (1.0 + DomainBound(*q.pplbin, tree));
+  }
+  const double gkp_cost = !monadic && over_ceiling ? kInf : gkp_raw;
+  const double dense_cost = materializes && over_ceiling ? kInf : matrix_cost;
+  double sparse_cost = kInf;
   if (materializes) {
     const SparseEst est = SparseCost(*q.pplbin, tree);
-    const bool fits =
-        SparsePeakBytes(est, n) <=
-        static_cast<double>(kSparseEvalByteBudget);
-    if (fits) sparse_cost = est.cost;
-    if (over_ceiling) {
-      repr = MatrixRepr::kSparse;
-      if (!monadic && !force_engine.has_value()) {
-        // Only the matrix engine has sparse full-relation kernels.
-        chosen = EnginePlan::kMatrixGeneral;
-      }
-    } else if (sparse_cost < matrix_cost) {
-      repr = MatrixRepr::kSparse;
-    }
+    const bool fits = SparsePeakBytes(est, n) <=
+                      static_cast<double>(kSparseEvalByteBudget);
+    if (fits || over_ceiling) sparse_cost = est.cost;
   }
 
-  if (force_engine.has_value()) chosen = *force_engine;
+  // The cheapest route; ties go to GKP, then to dense.
+  const MatrixRepr matrix_repr =
+      sparse_cost < dense_cost ? MatrixRepr::kSparse : MatrixRepr::kDense;
+  const double best_matrix = std::min(dense_cost, sparse_cost);
+  plan.engine = gkp_cost <= best_matrix ? EnginePlan::kGkpPositive
+                                        : EnginePlan::kMatrixGeneral;
   // A forced representation without a forced engine routes to the matrix
   // engine -- the only engine with a representation to force.
-  if (force_repr.has_value() && !force_engine.has_value()) {
-    chosen = EnginePlan::kMatrixGeneral;
+  if (force_engine.has_value()) {
+    plan.engine = *force_engine;
+  } else if (force_repr.has_value()) {
+    plan.engine = EnginePlan::kMatrixGeneral;
   }
-  plan.engine = chosen;
   plan.row_restricted = monadic;
-  if (chosen == EnginePlan::kMatrixGeneral) {
-    plan.repr = force_repr.value_or(repr);
-    plan.cost = plan.repr == MatrixRepr::kSparse &&
-                        sparse_cost !=
-                            std::numeric_limits<double>::infinity()
-                    ? sparse_cost
-                    : matrix_cost;
-    if (materializes &&
-        sparse_cost != std::numeric_limits<double>::infinity()) {
-      plan.alternative_cost =
-          plan.repr == MatrixRepr::kSparse ? matrix_cost : sparse_cost;
-    }
-  } else {
-    plan.cost = chosen == EnginePlan::kGkpPositive ? gkp_cost : matrix_cost;
-  }
-  if (q.positive && plan.alternative_cost == 0.0) {
+  if (plan.engine == EnginePlan::kMatrixGeneral) {
+    plan.repr = force_repr.value_or(matrix_repr);
+    const bool sparse = materializes && plan.repr == MatrixRepr::kSparse;
+    plan.cost = sparse ? sparse_cost : matrix_cost;
     plan.alternative_cost =
-        chosen == EnginePlan::kGkpPositive ? matrix_cost : gkp_cost;
+        std::min(gkp_cost, !materializes ? kInf
+                           : sparse      ? dense_cost
+                                         : sparse_cost);
+  } else {
+    plan.cost = gkp_raw;
+    plan.alternative_cost = best_matrix;
   }
+  if (plan.alternative_cost == kInf) plan.alternative_cost = 0.0;
 
   // Composition-chain reassociation: only matrix plans that materialize
   // relations care about association order (monadic sweeps are

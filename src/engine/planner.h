@@ -8,17 +8,21 @@
 // posting-list sizes. The decision follows the paper's complexity
 // landscape, made quantitative:
 //
-//   engine          full relation              monadic (row-restricted)
+//   route           full relation              monadic (row-restricted)
 //   kGkpPositive    O(|P| |t| |domain|)        O(|P| |t|)
-//   kMatrixGeneral  O(|P| |t|^3 / 64)          O(|P| |t|) + one
-//                                              sub-matrix per `except`
+//   kMatrixGeneral  dense: O(|P| |t|^3 / 64)   O(|P| |t|) + one
+//                   sparse: O(runs merged)     sub-matrix per `except`
 //   kNaryAnswer     output-sensitive Section 7 machinery
 //
-// so e.g. a general-PPLbin query on a small tree runs on the matrix
-// engine (one 64-bit word covers a whole row), while a large tree with a
-// selective label routes a positive query to the GKP engine, whose
-// domain-restricted Relation() loop touches only the posting-list-bounded
-// domain.
+// A binary query takes the cheapest admissible of three routes: GKP
+// (positive queries only), matrix-dense, and matrix-sparse (when its
+// estimated peak fits kSparseEvalByteBudget). So a general-PPLbin query
+// on a small tree runs dense (one 64-bit word covers a whole row), and a
+// full relation on a large tree usually runs on the sparse run-list
+// kernels, whose cost follows the runs produced rather than |t|^2 --
+// GKP wins where its posting-list-bounded domain is the smaller bill.
+// Monadic shapes tie GKP with the matrix engine on positive queries and
+// go to GKP.
 //
 // The *result shape* says what the caller actually consumes. Callers who
 // only need the nodes reachable from the root -- the overwhelmingly
@@ -110,8 +114,11 @@ struct ExecutionPlan {
   /// default (their execution never consults it).
   MatrixRepr repr = MatrixRepr::kDense;
   /// Cost-model estimate (in 64-bit word operations) of the chosen
-  /// route, and of the best rejected admissible engine (0 = no
-  /// alternative existed).
+  /// route, and of the cheapest rejected admissible route among GKP,
+  /// matrix-dense and matrix-sparse (0 = no alternative existed). A
+  /// forced sparse plan whose estimated peak exceeds
+  /// kSparseEvalByteBudget under the dense ceiling costs +inf: the
+  /// planner never picks that route itself.
   double cost = 0.0;
   double alternative_cost = 0.0;
   /// Matrix plans that materialize relations: the query rewritten by the
@@ -135,9 +142,10 @@ struct ExecutionPlan {
   std::string DebugString() const;
 };
 
-/// Chooses the cheapest admissible engine for `q` on `tree` under the
-/// requested shape. With `force_engine` set (tests, ablations), the cost
-/// model still runs but the named engine is selected; it must be
+/// Chooses the cheapest admissible route (engine and, for the matrix
+/// engine, representation) for `q` on `tree` under the requested shape.
+/// With `force_engine` set (tests, ablations), the cost model still runs
+/// but the named engine is selected; it must be
 /// admissible for `q` (callers check via CompiledQuery::Admits --
 /// QueryService rejects inadmissible overrides with InvalidArgument
 /// before reaching this function).

@@ -133,9 +133,10 @@ Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p) {
     from.Set(u);
     out.OrIntoRow(u, ImagePositive(p, from));
   });
-  if (rel_cache_ != nullptr) {
-    auto owned = std::make_shared<const AnyMatrix>(AnyMatrix(out));
-    rel_cache_->Put(key, std::move(owned));
+  // Copy into a shared payload only when the cache will keep it: an
+  // oversize relation would be copied just to be rejected.
+  if (rel_cache_ != nullptr && rel_cache_->Admits(key, out.resident_bytes())) {
+    rel_cache_->Put(key, std::make_shared<const AnyMatrix>(AnyMatrix(out)));
   }
   return out;
 }

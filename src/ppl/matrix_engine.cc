@@ -231,14 +231,18 @@ Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
     }
     std::abort();  // unreachable: the switch above covers every PplBinKind
   }();
-  if (!result.ok() || (!local_memo && !shared)) return result;
+  if (!result.ok()) return result;
+  // An entry the cross-job cache would reject is not worth a shared copy.
+  const bool publish =
+      shared && rel_cache_->Admits(shared_key, result->resident_bytes());
+  if (!local_memo && !publish) return result;
 
   // Publish: one shared immutable copy feeds the local memo and the
   // cross-job cache; the caller gets a copy so later hits stay intact.
   auto owned =
       std::make_shared<const AnyMatrix>(std::move(result).value());
   if (local_memo) ctx.local.emplace(text, owned);
-  if (shared) rel_cache_->Put(shared_key, owned);
+  if (publish) rel_cache_->Put(shared_key, owned);
   return AnyMatrix(*owned);
 }
 

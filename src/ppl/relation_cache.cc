@@ -15,11 +15,11 @@ std::string RelationKey(std::string_view canonical_text,
 }
 
 std::size_t RelationCache::EntryBytes(const std::string& key,
-                                      const AnyMatrix& m) {
+                                      std::size_t payload_bytes) {
   // Key bytes twice (map key + LRU node) plus a flat estimate of the
   // hash-map node, list node, Entry, and shared_ptr control block.
   constexpr std::size_t kIndexOverhead = 160;
-  return m.resident_bytes() + 2 * key.size() + kIndexOverhead;
+  return payload_bytes + 2 * key.size() + kIndexOverhead;
 }
 
 std::shared_ptr<const AnyMatrix> RelationCache::Get(const std::string& key) {
@@ -37,7 +37,7 @@ std::shared_ptr<const AnyMatrix> RelationCache::Get(const std::string& key) {
 void RelationCache::Put(const std::string& key,
                         std::shared_ptr<const AnyMatrix> value) {
   if (value == nullptr) return;
-  const std::size_t bytes = EntryBytes(key, *value);
+  const std::size_t bytes = EntryBytes(key, value->resident_bytes());
   if (bytes > max_bytes_) return;  // would evict everything for nothing
   MutexLock lock(mu_);
   auto it = entries_.find(key);

@@ -78,6 +78,13 @@ class RelationCache {
   void Put(const std::string& key, std::shared_ptr<const AnyMatrix> value)
       XPV_EXCLUDES(mu_);
 
+  /// True iff Put would admit a value of `payload_bytes` under `key`.
+  /// Producers check this first, so an oversize result is never copied
+  /// into a shared payload the cache would only reject.
+  bool Admits(const std::string& key, std::size_t payload_bytes) const {
+    return EntryBytes(key, payload_bytes) <= max_bytes_;
+  }
+
   std::size_t max_bytes() const { return max_bytes_; }
   RelationCacheStats stats() const XPV_EXCLUDES(mu_);
 
@@ -91,7 +98,8 @@ class RelationCache {
   /// Accounted footprint of one entry: the matrix payload plus its key
   /// string (stored twice: map key and LRU node) and the per-entry index
   /// overhead, so the budget tracks real memory, not just payload.
-  static std::size_t EntryBytes(const std::string& key, const AnyMatrix& m);
+  static std::size_t EntryBytes(const std::string& key,
+                                std::size_t payload_bytes);
 
   void EvictToBudgetLocked() XPV_REQUIRES(mu_);
 

@@ -8,6 +8,8 @@
 // admissible plan choice (forced via QueryJob::engine_override) and every
 // shape must produce results consistent with the full-relation
 // matrix-engine ground truth, byte-identical at 1, 2 and 8 threads.
+#include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -423,37 +425,122 @@ TEST(PlannerNaryShapeTest, ShapesDeriveFromTupleSet) {
 
 // --------------------------------------------------- cost-model behavior
 
-TEST(PlannerCostModelTest, SmallTreesRunOnMatrixLargeTreesOnGkp) {
-  // A positive query admits both engines; the matrix engine wins while a
-  // whole row fits in one 64-bit word, the GKP engine wins at scale.
-  auto compiled = engine::CompileQuery("descendant::*/child::*");
+/// Costs, sorted ascending, of every admissible forced (engine, repr)
+/// plan for `q` on `t`: GKP when the query admits it, matrix-dense, and
+/// matrix-sparse unless its estimate exceeds the byte budget (a forced
+/// sparse plan then reports +inf).
+std::vector<double> ForcedRouteCosts(const engine::CompiledQuery& q,
+                                     const Tree& t, ResultShape shape) {
+  std::vector<double> costs;
+  if (q.Admits(EnginePlan::kGkpPositive)) {
+    costs.push_back(
+        engine::PlanQuery(q, t, shape, EnginePlan::kGkpPositive).cost);
+  }
+  for (MatrixRepr repr : {MatrixRepr::kDense, MatrixRepr::kSparse}) {
+    const double cost = engine::PlanQuery(q, t, shape,
+                                          EnginePlan::kMatrixGeneral, 0, repr)
+                            .cost;
+    if (std::isfinite(cost)) costs.push_back(cost);
+  }
+  std::sort(costs.begin(), costs.end());
+  return costs;
+}
+
+TEST(PlannerCostModelTest, ChosenPlanIsTheCheapestAdmissibleRoute) {
+  // Over random trees and positive and general queries, at every shape,
+  // the planner's own choice costs exactly the minimum over every
+  // admissible forced plan. On full relations the three routes are
+  // distinct, so the runner-up is the reported alternative.
+  Rng rng(99);
+  for (std::size_t nodes : {512u, 1500u, 4096u, 16384u}) {
+    RandomTreeOptions opts;
+    opts.num_nodes = nodes;
+    opts.alphabet_size = 3 + rng.Below(4);
+    opts.max_children = rng.Chance(1, 2) ? 0 : 2 + rng.Below(8);
+    Tree t = RandomTree(rng, opts);
+    for (int trial = 0; trial < 16; ++trial) {
+      ppl::PplBinPtr p =
+          RandomPplBin(rng, 3, /*allow_complement=*/trial % 2 == 1);
+      const std::string text = ppl::ToXPath(*p)->ToString();
+      auto compiled = engine::CompileQuery(text);
+      ASSERT_TRUE(compiled.ok()) << text << ": " << compiled.status();
+      const engine::CompiledQuery& q = **compiled;
+      for (ResultShape shape : kAllShapes) {
+        const ExecutionPlan chosen = engine::PlanQuery(q, t, shape);
+        const std::vector<double> costs = ForcedRouteCosts(q, t, shape);
+        const std::string ctx = chosen.DebugString() + " on " +
+                                std::to_string(nodes) + " nodes: " + text;
+        ASSERT_FALSE(costs.empty()) << ctx;
+        EXPECT_EQ(chosen.cost, costs.front()) << ctx;
+        if (shape == ResultShape::kFullRelation) {
+          EXPECT_EQ(chosen.alternative_cost, costs.size() > 1 ? costs[1] : 0.0)
+              << ctx;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlannerCostModelTest, LargeFullRelationTakesTheSparseRoute) {
+  // Regression: a positive full relation on a 16384-node tree went to GKP
+  // because GKP was only ever compared with the dense matrix cost, while
+  // the sparse route was several times faster. It must plan matrix-sparse,
+  // report GKP as the runner-up, and stay byte-identical to forced GKP.
+  Rng rng(13);
+  RandomTreeOptions opts;
+  opts.num_nodes = 16384;
+  opts.alphabet_size = 6;
+  opts.max_children = 8;
+  Tree t = RandomTree(rng, opts);
+  const std::string text = "descendant::a/child::*/following_sibling::b";
+  auto compiled = engine::CompileQuery(text);
   ASSERT_TRUE(compiled.ok());
   ASSERT_TRUE((*compiled)->positive);
 
-  Rng rng(99);
-  RandomTreeOptions small_opts;
-  small_opts.num_nodes = 16;
-  Tree small = RandomTree(rng, small_opts);
-  ExecutionPlan small_plan =
-      engine::PlanQuery(**compiled, small, ResultShape::kFullRelation);
-  EXPECT_EQ(small_plan.engine, EnginePlan::kMatrixGeneral)
-      << small_plan.DebugString();
+  const ExecutionPlan plan =
+      engine::PlanQuery(**compiled, t, ResultShape::kFullRelation);
+  EXPECT_EQ(plan.engine, EnginePlan::kMatrixGeneral) << plan.DebugString();
+  EXPECT_EQ(plan.repr, MatrixRepr::kSparse) << plan.DebugString();
+  const ExecutionPlan gkp = engine::PlanQuery(
+      **compiled, t, ResultShape::kFullRelation, EnginePlan::kGkpPositive);
+  EXPECT_EQ(plan.alternative_cost, gkp.cost) << plan.DebugString();
 
-  RandomTreeOptions large_opts;
-  large_opts.num_nodes = 1500;
-  Tree large = RandomTree(rng, large_opts);
-  ExecutionPlan large_plan =
-      engine::PlanQuery(**compiled, large, ResultShape::kFullRelation);
-  EXPECT_EQ(large_plan.engine, EnginePlan::kGkpPositive)
-      << large_plan.DebugString();
-  EXPECT_GT(large_plan.alternative_cost, large_plan.cost);
+  engine::QueryJob job;
+  job.tree = &t;
+  job.query = text;
+  job.shape = ResultShape::kFullRelation;
+  engine::QueryJob forced = job;
+  forced.engine_override = EnginePlan::kGkpPositive;
+  engine::QueryService service({.num_threads = 2});
+  std::vector<engine::QueryResult> results =
+      service.EvaluateBatch({job, forced});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
+  ASSERT_TRUE(results[1].status.ok()) << results[1].status;
+  EXPECT_EQ(results[0].plan.repr, MatrixRepr::kSparse);
+  EXPECT_EQ(results[1].plan.engine, EnginePlan::kGkpPositive);
+  EXPECT_GT(results[0].relation.Count(), 0u);
+  EXPECT_EQ(results[0].relation, results[1].relation);
+  EXPECT_EQ(results[0].from_root, results[1].from_root);
+}
 
-  // Monadic shapes always take the row-restricted fast path.
-  ExecutionPlan monadic =
-      engine::PlanQuery(**compiled, large, ResultShape::kFromRootSet);
-  EXPECT_TRUE(monadic.row_restricted);
-  EXPECT_EQ(monadic.engine, EnginePlan::kGkpPositive);
-  EXPECT_LT(monadic.cost, large_plan.cost);
+TEST(PlannerCostModelTest, MonadicPositiveTiesGoToGkp) {
+  // Both engines run the same vector propagation on a positive query, so
+  // every monadic shape takes GKP's row-restricted path at any size.
+  auto compiled = engine::CompileQuery("descendant::*/child::*");
+  ASSERT_TRUE(compiled.ok());
+  Rng rng(21);
+  for (std::size_t nodes : {16u, 1500u}) {
+    RandomTreeOptions opts;
+    opts.num_nodes = nodes;
+    Tree t = RandomTree(rng, opts);
+    ExecutionPlan monadic =
+        engine::PlanQuery(**compiled, t, ResultShape::kFromRootSet);
+    EXPECT_TRUE(monadic.row_restricted);
+    EXPECT_EQ(monadic.engine, EnginePlan::kGkpPositive)
+        << monadic.DebugString();
+    EXPECT_EQ(monadic.cost, monadic.alternative_cost);
+  }
 }
 
 TEST(PlannerCostModelTest, SelectiveLabelsShrinkTheGkpDomainEstimate) {

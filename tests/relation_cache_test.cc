@@ -256,6 +256,78 @@ TEST(RelationCacheDifferentialTest, TinyBudgetEvictsButStaysByteIdentical) {
   EXPECT_LE(store_tiny.stats().relation_cache_bytes, 2048u);
 }
 
+TEST(RelationCacheDifferentialTest, OversizeResultsLeaveTheCacheUntouched) {
+  // Full relations on 512 nodes are 32 KiB dense: under a 16 KiB budget
+  // neither GKP's whole relation nor the dense matrix engine's interior
+  // products can be admitted. Such results must not enter the cache (no
+  // insertion, no resident bytes), and the answers must match a store
+  // with the default budget and one with caching off.
+  Rng rng(0x0b16);
+  RandomTreeOptions opts;
+  opts.num_nodes = 512;
+  opts.alphabet_size = 3;
+  const Tree t = RandomTree(rng, opts);
+  // Fresh stores number their first document alike.
+  engine::DocumentId id = 0;
+  auto make_store = [&](std::size_t budget) {
+    engine::DocumentStoreOptions options;
+    options.relation_cache_bytes = budget;
+    auto store = std::make_unique<engine::DocumentStore>(options);
+    Tree copy = t;
+    id = store->Insert(std::move(copy));
+    return store;
+  };
+  auto on = make_store(ppl::RelationCache::kDefaultMaxBytes);
+  auto off = make_store(0);
+  auto tiny = make_store(16u << 10);
+  std::shared_ptr<ppl::RelationCache> tiny_cache = tiny->RelationCacheFor(id);
+  ASSERT_NE(tiny_cache, nullptr);
+  // One small resident entry, so "unchanged" is not just "still empty".
+  tiny_cache->Put("probe", std::make_shared<const ppl::AnyMatrix>(
+                               OneBit(8, 1, 2)));
+  const ppl::RelationCacheStats before = tiny_cache->stats();
+  ASSERT_EQ(before.insertions, 1u);
+  ASSERT_GT(before.resident_bytes, 0u);
+
+  std::vector<engine::QueryJob> jobs;
+  for (const char* text : {"descendant::a/child::*",
+                           "descendant::* except child::b/parent::*"}) {
+    engine::QueryJob job;
+    job.document = id;
+    job.query = text;
+    job.shape = engine::ResultShape::kFullRelation;
+    if (engine::CompileQuery(text).value()->positive) {
+      job.engine_override = engine::EnginePlan::kGkpPositive;
+    }
+    job.repr_override = MatrixRepr::kDense;
+    jobs.push_back(job);
+  }
+  engine::QueryService on_service(
+      {.num_threads = 1, .document_store = on.get()});
+  engine::QueryService off_service(
+      {.num_threads = 1, .document_store = off.get()});
+  engine::QueryService tiny_service(
+      {.num_threads = 1, .document_store = tiny.get()});
+  const auto tiny_results = tiny_service.EvaluateBatch(jobs);
+  for (const auto& r : tiny_results) {
+    ASSERT_TRUE(r.status.ok()) << r.status;
+    EXPECT_GT(r.relation.Count(), 0u) << r.plan.DebugString();
+  }
+  EXPECT_EQ(tiny_results[0].plan.engine, engine::EnginePlan::kGkpPositive);
+  EXPECT_EQ(tiny_results[1].plan.engine, engine::EnginePlan::kMatrixGeneral);
+  const ppl::RelationCacheStats after = tiny_cache->stats();
+  EXPECT_GT(after.misses, before.misses);  // the cache was consulted
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+  EXPECT_EQ(after.evictions, 0u);
+
+  ExpectPayloadsEqual(tiny_results, on_service.EvaluateBatch(jobs));
+  ExpectPayloadsEqual(tiny_results, off_service.EvaluateBatch(jobs));
+  // The default budget admits them; a warm rerun still matches.
+  EXPECT_GT(on->RelationCacheFor(id)->stats().insertions, 0u);
+  ExpectPayloadsEqual(tiny_results, on_service.EvaluateBatch(jobs));
+}
+
 // ----------------------------------------- reassociation differentials
 
 /// A path tree whose every 128th node is labeled "rare": the selective

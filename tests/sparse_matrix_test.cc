@@ -4,7 +4,9 @@
 // fallback and its run budget), MultiplyDense / MultiplyDenseLeft, Or,
 // Complement, FilterDiagonal -- checked cell-for-cell against the dense
 // BitMatrix kernels on seeded random and adversarial operands.
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +118,86 @@ TEST(SparseMatrixTest, FromBoolBorrowsIntervalBackedAxes) {
     Result<BitMatrix> d = m.ToDense();
     ASSERT_TRUE(d.ok());
     ExpectSameCells(*s, *d, AxisName(axis).data());
+  }
+}
+
+/// Densifies through the generic row path -- one RowInto scratch row per
+/// matrix row, ORed into a zeroed BitMatrix -- the reference for the
+/// run-wise ToDense.
+BitMatrix DensifyRowByRow(const BoolMatrix& m) {
+  BitMatrix out(m.size());
+  BitVector scratch;
+  for (std::size_t r = 0; r < m.size(); ++r) {
+    m.RowInto(r, scratch);
+    out.OrIntoRow(r, scratch);
+  }
+  return out;
+}
+
+void ExpectRunWiseDensifyMatches(const BoolMatrix& m, const char* ctx) {
+  ASSERT_NE(m.AsInterval(), nullptr) << ctx;
+  Result<BitMatrix> dense = m.ToDense();
+  ASSERT_TRUE(dense.ok()) << ctx;
+  const BitMatrix reference = DensifyRowByRow(m);
+  ASSERT_EQ(dense->size(), m.size()) << ctx;
+  for (std::size_t r = 0; r < m.size(); ++r) {
+    ASSERT_EQ(dense->Row(r), reference.Row(r)) << ctx << " row " << r;
+  }
+  EXPECT_EQ(*dense, reference) << ctx;
+  EXPECT_EQ(dense->Count(), m.Count()) << ctx;
+}
+
+TEST(SparseMatrixTest, RunWiseDensifyMatchesRowPath) {
+  Rng rng(31);
+  for (std::size_t n : {63u, 64u, 65u, 4097u}) {
+    SparseBoolMatrix::Builder b(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::uint32_t row = static_cast<std::uint32_t>(r);
+      switch (r % 5) {
+        case 0:
+          break;  // empty row
+        case 1:
+          // One run from mid-word to mid-word, spanning word boundaries
+          // whenever the row is wide enough.
+          ASSERT_TRUE(b.Append(row, 3, static_cast<std::uint32_t>(n - 2)));
+          break;
+        case 2:
+          // Single cells on and around word boundaries, and the last
+          // column (the builder coalesces adjacent cells into one run).
+          for (std::size_t c : std::set<std::size_t>{0, 62, 64, n - 1}) {
+            if (c < n) {
+              ASSERT_TRUE(b.Append(row, static_cast<std::uint32_t>(c),
+                                   static_cast<std::uint32_t>(c + 1)));
+            }
+          }
+          break;
+        case 3:
+          ASSERT_TRUE(b.Append(row, 0, static_cast<std::uint32_t>(n)));
+          break;
+        default: {
+          // Random disjoint runs of random length.
+          std::size_t c = rng.Below(70);
+          while (c < n) {
+            const std::size_t end = std::min(n, c + 1 + rng.Below(150));
+            ASSERT_TRUE(b.Append(row, static_cast<std::uint32_t>(c),
+                                 static_cast<std::uint32_t>(end)));
+            c = end + 1 + rng.Below(100);
+          }
+        }
+      }
+    }
+    Result<SparseBoolMatrix> m = b.Finish();
+    ASSERT_TRUE(m.ok());
+    ExpectRunWiseDensifyMatches(*m, "builder runs");
+    if (n <= 65) ExpectSameCells(*m, DensifyRowByRow(*m), "builder runs");
+  }
+  // Interval-backed axis relations take the same path.
+  RandomTreeOptions opts;
+  opts.num_nodes = 4097;
+  Tree t = RandomTree(rng, opts);
+  AxisCache cache(t, AxisBacking::kInterval);
+  for (Axis axis : kAllAxes) {
+    ExpectRunWiseDensifyMatches(cache.Matrix(axis), AxisName(axis).data());
   }
 }
 
