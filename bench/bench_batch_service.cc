@@ -1,8 +1,8 @@
 // E12 -- throughput of the batched QueryService: a fixed 100-job batch of
-// mixed positive/general PPLbin queries over a handful of trees, evaluated
-// at 1..8 worker threads. Jobs on one tree share a per-tree AxisCache and
-// distinct query texts compile once, so the scaling curve isolates the
-// execute stage. Also measures the compile stage alone (cold vs warm
+// mixed positive/general PPLbin queries over a handful of stored documents,
+// evaluated at 1..8 worker threads. Jobs on one document share its
+// persistent AxisCache and distinct query texts compile once, so the
+// scaling curve isolates the execute stage. Also measures the compile stage alone (cold vs warm
 // query cache), the DocumentStore serving path, and the axis-relation
 // materialization cost of the indexed interval builders against the seed's
 // walk-based builders (kept as naive::AxisMatrix).
@@ -58,23 +58,20 @@ ppl::PplBinPtr RandomPplBin(Rng& rng, int depth) {
   }
 }
 
-struct Workload {
-  std::vector<Tree> trees;
-  std::vector<engine::QueryJob> jobs;
-};
-
-/// 100 jobs: depth-4 queries over 4 trees of `tree_nodes` nodes, with
-/// every 3rd job repeating an earlier query text (cache hits, as in a
-/// template-driven serving workload).
-Workload MakeWorkload(std::size_t tree_nodes) {
-  Workload w;
+/// 100 jobs: depth-4 queries over 4 documents of `tree_nodes` nodes,
+/// inserted into `store`, with every 3rd job repeating an earlier query
+/// text (cache hits, as in a template-driven serving workload).
+std::vector<engine::QueryJob> MakeWorkload(std::size_t tree_nodes,
+                                           engine::DocumentStore& store) {
   Rng rng(42);
+  std::vector<engine::DocumentId> ids;
   for (int i = 0; i < 4; ++i) {
     RandomTreeOptions opts;
     opts.num_nodes = tree_nodes;
-    w.trees.push_back(RandomTree(rng, opts));
+    ids.push_back(store.Insert(RandomTree(rng, opts)));
   }
   std::vector<std::string> texts;
+  std::vector<engine::QueryJob> jobs;
   for (int i = 0; i < 100; ++i) {
     std::string text;
     if (i % 3 == 2 && !texts.empty()) {
@@ -84,55 +81,20 @@ Workload MakeWorkload(std::size_t tree_nodes) {
       texts.push_back(text);
     }
     engine::QueryJob job;
-    job.tree = &w.trees[rng.Below(w.trees.size())];
+    job.document = ids[rng.Below(ids.size())];
     job.query = std::move(text);
-    w.jobs.push_back(std::move(job));
+    jobs.push_back(std::move(job));
   }
-  return w;
+  return jobs;
 }
 
-void BM_Batch100(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto tree_nodes = static_cast<std::size_t>(state.range(1));
-  Workload w = MakeWorkload(tree_nodes);
-  engine::QueryService service({.num_threads = threads});
-  // Warm the compiled-query cache so steady-state throughput is measured,
-  // and refuse to report throughput for a failing workload.
-  for (const engine::QueryResult& r : service.EvaluateBatch(w.jobs)) {
-    if (!r.status.ok()) {
-      state.SkipWithError(r.status.ToString().c_str());
-      return;
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(service.EvaluateBatch(w.jobs));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100);
-}
-BENCHMARK(BM_Batch100)
-    ->ArgsProduct({{1, 2, 4, 8}, {64, 256}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// The same 100-job batch served through a DocumentStore: per-document
-/// axis caches persist across EvaluateBatch calls, so steady-state batches
-/// skip all axis materialization.
+/// The 100-job batch served by DocumentId: per-document axis caches
+/// persist across EvaluateBatch calls, so steady-state batches skip all
+/// axis materialization.
 void RunStoreBench(benchmark::State& state, std::size_t threads,
                    std::size_t tree_nodes, std::size_t num_shards) {
-  Workload w = MakeWorkload(tree_nodes);
   engine::DocumentStore store({.num_shards = num_shards});
-  std::vector<engine::DocumentId> ids;
-  for (Tree& t : w.trees) {
-    Tree copy = t;
-    ids.push_back(store.Insert(std::move(copy)));
-  }
-  std::vector<engine::QueryJob> jobs = w.jobs;
-  for (engine::QueryJob& job : jobs) {
-    for (std::size_t k = 0; k < w.trees.size(); ++k) {
-      if (job.tree == &w.trees[k]) job.document = ids[k];
-    }
-    job.tree = nullptr;
-  }
+  const std::vector<engine::QueryJob> jobs = MakeWorkload(tree_nodes, store);
   engine::QueryService service(
       {.num_threads = threads, .document_store = &store});
   // Warm the caches; a failing workload must not report throughput.
@@ -177,10 +139,11 @@ BENCHMARK(BM_Batch100StoreSharded)
     ->UseRealTime();
 
 void BM_CompileColdCache(benchmark::State& state) {
-  Workload w = MakeWorkload(16);
+  engine::DocumentStore store;
+  const std::vector<engine::QueryJob> jobs = MakeWorkload(16, store);
   for (auto _ : state) {
     engine::QueryCache cache;
-    for (const auto& job : w.jobs) {
+    for (const auto& job : jobs) {
       benchmark::DoNotOptimize(cache.GetOrCompile(job.query));
     }
   }
@@ -189,13 +152,14 @@ void BM_CompileColdCache(benchmark::State& state) {
 BENCHMARK(BM_CompileColdCache);
 
 void BM_CompileWarmCache(benchmark::State& state) {
-  Workload w = MakeWorkload(16);
+  engine::DocumentStore store;
+  const std::vector<engine::QueryJob> jobs = MakeWorkload(16, store);
   engine::QueryCache cache;
-  for (const auto& job : w.jobs) {
+  for (const auto& job : jobs) {
     benchmark::DoNotOptimize(cache.GetOrCompile(job.query));
   }
   for (auto _ : state) {
-    for (const auto& job : w.jobs) {
+    for (const auto& job : jobs) {
       benchmark::DoNotOptimize(cache.GetOrCompile(job.query));
     }
   }
@@ -305,8 +269,9 @@ void BM_StreamFirstK(benchmark::State& state) {
   const auto path_nodes = static_cast<std::size_t>(state.range(0));
   Tree t = PathTree(path_nodes);
   engine::QueryService service({.num_threads = 1});
-  // Warm the compile cache; the axis cache is rebuilt per stream on raw
-  // trees, so the measured cost is open + preprocessing + 100 tuples.
+  // Warm the compile cache; the axis cache is rebuilt per stream on a
+  // caller-owned tree, so the measured cost is open + preprocessing + 100
+  // tuples.
   {
     auto warm = service.OpenStream(t, kStreamBenchQuery);
     if (!warm.ok()) {
@@ -570,7 +535,7 @@ void BM_CrossoverFullRelation(benchmark::State& state) {
   job.document = id;
   job.query = kComposeQuery;
   job.shape = engine::ResultShape::kFullRelation;
-  if (repr != MatrixRepr::kAuto) job.repr_override = repr;
+  if (repr != MatrixRepr::kAuto) job.overrides.repr = repr;
   const std::vector<engine::QueryJob> jobs = {job};
   // Warm caches and refuse to report a failing workload.
   engine::ExecutionPlan plan;
@@ -638,7 +603,7 @@ void BM_SubrelationReuse(benchmark::State& state) {
       job.document = id;
       job.query = text;
       job.shape = engine::ResultShape::kFullRelation;
-      job.engine_override = engine::EnginePlan::kMatrixGeneral;
+      job.overrides.engine = engine::EnginePlan::kMatrixGeneral;
       jobs.push_back(std::move(job));
     }
   }
@@ -660,7 +625,8 @@ void BM_SubrelationReuse(benchmark::State& state) {
   state.counters["hit_rate"] =
       consults == 0.0 ? 0.0
                       : static_cast<double>(stats.subrel_hits) / consults;
-  state.counters["subrel_bytes"] = static_cast<double>(stats.subrel_bytes);
+  state.counters["subrel_bytes"] =
+      static_cast<double>(store.stats().relation_cache_bytes);
 }
 BENCHMARK(BM_SubrelationReuse)
     ->ArgsProduct({{512, 2048}, {0, 1}})
@@ -731,8 +697,8 @@ void BM_ChainReassociation(benchmark::State& state) {
   job.document = id;
   job.query = kChainQuery;
   job.shape = engine::ResultShape::kFullRelation;
-  job.engine_override = engine::EnginePlan::kMatrixGeneral;
-  job.force_parse_order = parse_order;
+  job.overrides.engine = engine::EnginePlan::kMatrixGeneral;
+  job.overrides.parse_order = parse_order;
   const std::vector<engine::QueryJob> jobs = {job};
   // Warm caches and capture the plan; refuse to report a failing job.
   engine::ExecutionPlan plan;

@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
       "%llu chains reassociated\n",
       static_cast<unsigned long long>(kernel_stats.subrel_hits),
       static_cast<unsigned long long>(kernel_stats.subrel_misses),
-      kernel_stats.subrel_bytes / 1024,
+      store.stats().relation_cache_bytes / 1024,
       static_cast<unsigned long long>(kernel_stats.chains_reassociated));
   const engine::DocumentStoreStats stats = store.stats();
   std::printf(

@@ -71,8 +71,8 @@
 
 namespace xpv::engine {
 
-/// Corpus-wide document identifier. Ids start at 1; 0 means "no document"
-/// (a QueryJob addressing a raw Tree* instead).
+/// Corpus-wide document identifier. Ids start at 1; 0 means "no document":
+/// a job or stream addressing it fails with InvalidArgument.
 using DocumentId = std::uint64_t;
 inline constexpr DocumentId kNoDocument = 0;
 

@@ -651,27 +651,6 @@ bool PlanRequiresDenseRelation(const CompiledQuery& q,
   return false;
 }
 
-std::optional<ExecutionPlan> PlanMemo::Lookup(std::string_view text,
-                                              ResultShape shape) const {
-  const std::string key = Key(text, shape);
-  MutexLock lock(mu_);
-  auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void PlanMemo::Insert(std::string_view text, ResultShape shape,
-                      const ExecutionPlan& plan) {
-  std::string key = Key(text, shape);
-  MutexLock lock(mu_);
-  if (plans_.size() >= max_entries_ && !plans_.contains(key)) return;
-  plans_.emplace(std::move(key), plan);
-}
-
 std::size_t PlanMemo::size() const {
   MutexLock lock(mu_);
   return plans_.size();

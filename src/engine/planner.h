@@ -109,8 +109,8 @@ struct ExecutionPlan {
   /// Matrix-engine plans that materialize relations: which representation
   /// the engine composes in. The planner's dense/sparse crossover picks
   /// kDense or kSparse per (tree stats, label selectivity, query shape);
-  /// kAuto appears only via a forced override (QueryJob::repr_override)
-  /// and lets the engine switch per node. Non-matrix plans keep the
+  /// kAuto appears only via a forced override (PlanOverrides::repr) and
+  /// lets the engine switch per node. Non-matrix plans keep the
   /// default (their execution never consults it).
   MatrixRepr repr = MatrixRepr::kDense;
   /// Cost-model estimate (in 64-bit word operations) of the chosen
@@ -127,7 +127,7 @@ struct ExecutionPlan {
   /// the denoted relation, unchanged). Null when no chain changed --
   /// execution then evaluates the compiled form as parsed. Execution
   /// uses `reassociated` when set; forced parse-order runs
-  /// (QueryJob::force_parse_order) plan with the DP disabled so
+  /// (PlanOverrides::parse_order) plan with the DP disabled so
   /// association-order differentials stay possible.
   std::shared_ptr<const ppl::PplBinExpr> reassociated;
   /// Number of composition chains whose association the DP changed.
@@ -200,6 +200,23 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
 bool PlanRequiresDenseRelation(const CompiledQuery& q,
                                const ExecutionPlan& plan);
 
+/// Tests and ablations only: forced planner decisions for one job
+/// (QueryJob::overrides). Any set field bypasses the per-document
+/// PlanMemo, so a forced run never pollutes the planner's cache.
+struct PlanOverrides {
+  /// Force this engine instead of the cost-based choice. Must be
+  /// admissible for the query (InvalidArgument otherwise).
+  std::optional<EnginePlan> engine;
+  /// Force the matrix representation (dense / sparse / auto). Binary
+  /// (PPLbin) queries only (InvalidArgument otherwise); without `engine`
+  /// it routes the job to the matrix engine.
+  std::optional<MatrixRepr> repr;
+  /// Disable the composition-chain reassociation DP, so the job evaluates
+  /// the query exactly as parsed -- the baseline side of
+  /// association-order differentials.
+  bool parse_order = false;
+};
+
 /// Bounded, thread-safe (query text, shape) -> ExecutionPlan memo. One
 /// lives beside each document's AxisCache in the DocumentStore, so a
 /// repeated query template on a long-lived document plans once. Once
@@ -210,8 +227,7 @@ bool PlanRequiresDenseRelation(const CompiledQuery& q,
 /// blocks beyond a short internal mutex hold (GetOrCompute runs the
 /// compute callback outside the lock, so a slow planner never serializes
 /// other lookups -- plans are deterministic, making a racing duplicate
-/// computation harmless). Lookup never fails; it reports absence via
-/// nullopt.
+/// computation harmless).
 class PlanMemo {
  public:
   static constexpr std::size_t kDefaultMaxEntries = 256;
@@ -222,16 +238,10 @@ class PlanMemo {
   PlanMemo(const PlanMemo&) = delete;
   PlanMemo& operator=(const PlanMemo&) = delete;
 
-  /// The memoized plan, or nullopt on a miss.
-  std::optional<ExecutionPlan> Lookup(std::string_view text,
-                                      ResultShape shape) const
-      XPV_EXCLUDES(mu_);
-  void Insert(std::string_view text, ResultShape shape,
-              const ExecutionPlan& plan) XPV_EXCLUDES(mu_);
-
-  /// Lookup-or-plan in one step: builds the key once and runs `compute`
-  /// outside the lock on a miss (plans are deterministic, so a racing
-  /// duplicate computation is harmless). The serving hot path.
+  /// The memoized plan, or `compute()` on a miss: builds the key once
+  /// and runs `compute` outside the lock (plans are deterministic, so a
+  /// racing duplicate computation is harmless). Once the memo is full,
+  /// unseen keys are computed but not inserted.
   template <typename Fn>
   ExecutionPlan GetOrCompute(std::string_view text, ResultShape shape,
                              Fn&& compute) XPV_EXCLUDES(mu_) {
@@ -263,8 +273,8 @@ class PlanMemo {
   const std::size_t max_entries_;
   mutable Mutex mu_;
   std::unordered_map<std::string, ExecutionPlan> plans_ XPV_GUARDED_BY(mu_);
-  mutable std::uint64_t hits_ XPV_GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t misses_ XPV_GUARDED_BY(mu_) = 0;
+  std::uint64_t hits_ XPV_GUARDED_BY(mu_) = 0;
+  std::uint64_t misses_ XPV_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace xpv::engine

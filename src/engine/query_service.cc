@@ -12,18 +12,6 @@ namespace xpv::engine {
 
 namespace internal {
 
-/// A document resolved once per distinct id per batch; the cache/memo are
-/// the store's persistent ones, so repeats across batches hit.
-struct ResolvedDoc {
-  DocumentPtr doc;
-  std::shared_ptr<AxisCache> cache;
-  std::shared_ptr<PlanMemo> plans;
-  std::shared_ptr<ppl::RelationCache> relations;
-  /// Why resolution failed when doc == nullptr: the store Fetch's typed
-  /// status (kNotFound, or kDataLoss when a spilled segment is corrupt).
-  Status fetch_status;
-};
-
 /// Everything one batch needs from submission to completion. Shared by
 /// the submitting caller (through BatchHandle), the dispatcher, and the
 /// pool workers; the last finisher marks it done.
@@ -37,22 +25,17 @@ struct BatchState {
 
   // Prepared run state (PrepareRun).
   std::vector<QueryResult> results;
-  std::unordered_map<const Tree*, std::shared_ptr<AxisCache>> tree_caches;
-  /// Tree*-addressed jobs get a per-batch subrelation cache per distinct
-  /// tree (the store's persistent per-document caches cover id-addressed
-  /// jobs): jobs of one batch sharing a caller-owned tree still evaluate
-  /// each distinct subrelation once.
-  std::unordered_map<const Tree*, std::shared_ptr<ppl::RelationCache>>
-      tree_relations;
   /// Per-job compiled queries, filled by PrepareRun's CSE pass (empty
   /// for doomed or single-job batches): workers reuse them instead of
   /// re-consulting the QueryCache, so each job costs one cache lookup
   /// per batch no matter which path resolved it.
   std::vector<std::optional<Result<std::shared_ptr<const CompiledQuery>>>>
       compiled;
-  std::unordered_map<DocumentId, ResolvedDoc> docs;
-  /// Job indices grouped by resident store shard; the last group holds
-  /// Tree*-addressed and malformed jobs (no shard affinity).
+  /// Every distinct document the batch addresses, resolved once (or the
+  /// typed reason it could not be).
+  std::unordered_map<DocumentId, Result<JobTarget>> docs;
+  /// Job indices grouped by resident store shard (one group when the
+  /// service has no store).
   std::vector<std::vector<std::size_t>> groups;
   /// One claim cursor per group; workers fetch_add to claim job slots.
   std::unique_ptr<std::atomic<std::size_t>[]> cursors;
@@ -67,9 +50,18 @@ struct BatchState {
 }  // namespace internal
 
 using internal::BatchState;
-using internal::ResolvedDoc;
+using internal::JobTarget;
 
 namespace {
+
+/// A private target over a caller-owned tree: a fresh AxisCache, no plan
+/// memo, no relation cache -- the one-shot Tree entry points.
+JobTarget OneShotTarget(const Tree& tree) {
+  JobTarget target;
+  target.tree = &tree;
+  target.cache = std::make_shared<AxisCache>(tree);
+  return target;
+}
 
 /// Derives the monadic payload from a from-root node set.
 void FinishMonadic(QueryResult& result, ResultShape shape, BitVector image) {
@@ -140,46 +132,55 @@ QueryService::~QueryService() {
 
 QueryResult QueryService::Evaluate(const Tree& tree, std::string_view query,
                                    ResultShape shape) {
-  QueryResult result = RunJob(&tree, std::string(query), shape, std::nullopt,
-                              std::nullopt, /*force_parse_order=*/false,
-                              std::make_shared<AxisCache>(tree), nullptr,
-                              nullptr);
+  QueryResult result =
+      RunJob(OneShotTarget(tree), std::string(query), shape, {});
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
 QueryResult QueryService::Evaluate(DocumentId document, std::string_view query,
                                    ResultShape shape) {
-  QueryResult result;
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
-  if (store_ == nullptr) {
-    result.status = Status::InvalidArgument(
-        "job addresses a DocumentId but the service has no DocumentStore");
+  Result<JobTarget> target = Resolve(document);
+  if (!target.ok()) {
+    QueryResult result;
+    result.status = target.status();
     return result;
+  }
+  return RunJob(*target, std::string(query), shape, {});
+}
+
+Result<JobTarget> QueryService::Resolve(DocumentId document) {
+  if (document == kNoDocument) {
+    return Status::InvalidArgument("job addresses no document (kNoDocument)");
+  }
+  if (store_ == nullptr) {
+    return Status::InvalidArgument(
+        "job addresses a DocumentId but the service has no DocumentStore");
   }
   // Fetch (not Get): a spilled document faults back in transparently, and
   // a genuinely failed fault-in (corrupt or vanished segment) surfaces
   // its typed kDataLoss / kNotFound instead of a generic "unknown id".
-  Result<DocumentPtr> fetched = store_->Fetch(document);
-  if (!fetched.ok()) {
-    result.status = fetched.status();
-    return result;
+  XPV_ASSIGN_OR_RETURN(DocumentPtr doc, store_->Fetch(document));
+  JobTarget target;
+  target.tree = &doc->tree();
+  target.cache = store_->AxisCacheFor(document);
+  if (target.cache == nullptr) {
+    // A Remove() racing between the fetch and the cache lookup loses the
+    // store's persistent cache (the lookup returns null for ids the store
+    // no longer knows); the pinned tree is still valid, so fall back to a
+    // private cache.
+    target.cache = std::make_shared<AxisCache>(*target.tree);
   }
-  DocumentPtr doc = std::move(fetched).value();
-  return RunJob(&doc->tree(), std::string(query), shape, std::nullopt,
-                std::nullopt, /*force_parse_order=*/false,
-                store_->AxisCacheFor(document),
-                store_->PlanMemoFor(document),
-                store_->RelationCacheFor(document));
+  target.plans = store_->PlanMemoFor(document);
+  target.relations = store_->RelationCacheFor(document);
+  target.doc = std::move(doc);
+  return target;
 }
 
 QueryResult QueryService::RunJob(
-    const Tree* tree, const std::string& query, ResultShape shape,
-    const std::optional<EnginePlan>& engine_override,
-    const std::optional<MatrixRepr>& repr_override, bool force_parse_order,
-    const std::shared_ptr<AxisCache>& tree_cache,
-    const std::shared_ptr<PlanMemo>& plan_memo,
-    const std::shared_ptr<ppl::RelationCache>& relations,
+    const JobTarget& target, const std::string& query, ResultShape shape,
+    const PlanOverrides& overrides,
     const Result<std::shared_ptr<const CompiledQuery>>* precompiled,
     CancelToken cancel) {
   QueryResult result;
@@ -188,8 +189,8 @@ QueryResult QueryService::RunJob(
         "the tuple-stream shape is served by OpenStream, not batch jobs");
     return result;
   }
-  if (tree == nullptr || tree->empty()) {
-    result.status = Status::InvalidArgument("job has no tree");
+  if (target.tree->empty()) {
+    result.status = Status::InvalidArgument("job has an empty tree");
     return result;
   }
   std::optional<Result<std::shared_ptr<const CompiledQuery>>> own_compiled;
@@ -203,34 +204,32 @@ QueryResult QueryService::RunJob(
     return result;
   }
   const CompiledQuery& q = **compiled;
-  const Tree& t = *tree;
+  const Tree& t = *target.tree;
 
   // Plan stage: per (compiled query, tree, shape), memoized per document.
   // Forced engines and forced representations (tests, ablations) bypass
   // the memo so a forced run never pollutes the planner's cache.
-  if (repr_override.has_value() && q.pplbin == nullptr) {
+  if (overrides.repr.has_value() && q.pplbin == nullptr) {
     result.status = Status::InvalidArgument(
         "representation override applies only to binary (PPLbin) queries: " +
         q.text);
     return result;
   }
+  if (overrides.engine.has_value() && !q.Admits(*overrides.engine)) {
+    result.status = Status::InvalidArgument(
+        "engine override '" + std::string(EnginePlanName(*overrides.engine)) +
+        "' is not admissible for query: " + q.text);
+    return result;
+  }
   ExecutionPlan plan;
-  if (engine_override.has_value()) {
-    if (!q.Admits(*engine_override)) {
-      result.status = Status::InvalidArgument(
-          "engine override '" +
-          std::string(EnginePlanName(*engine_override)) +
-          "' is not admissible for query: " + q.text);
-      return result;
-    }
-    plan = PlanQuery(q, t, shape, engine_override, 0, repr_override,
-                     force_parse_order);
-  } else if (repr_override.has_value() || force_parse_order) {
-    plan = PlanQuery(q, t, shape, {}, 0, repr_override, force_parse_order);
-  } else if (plan_memo != nullptr) {
+  if (overrides.engine.has_value() || overrides.repr.has_value() ||
+      overrides.parse_order) {
+    plan = PlanQuery(q, t, shape, overrides.engine, 0, overrides.repr,
+                     overrides.parse_order);
+  } else if (target.plans != nullptr) {
     // Memoized under the canonical text: syntactic variants of one query
     // share one plan entry (mirroring the QueryCache's canonical keying).
-    plan = plan_memo->GetOrCompute(
+    plan = target.plans->GetOrCompute(
         q.canonical_text, shape, [&] { return PlanQuery(q, t, shape); });
   } else {
     plan = PlanQuery(q, t, shape);
@@ -251,33 +250,32 @@ QueryResult QueryService::RunJob(
     return result;
   }
 
-  const std::shared_ptr<AxisCache> cache =
-      tree_cache != nullptr ? tree_cache : std::make_shared<AxisCache>(t);
-
   // Executed matrix plans whose chains the DP re-parenthesized evaluate
   // the reassociated form -- same factor order, cheapest association.
-  const ppl::PplBinExpr* pplbin = q.pplbin.get();
   if (plan.engine == EnginePlan::kMatrixGeneral &&
       plan.reassociated != nullptr) {
-    pplbin = plan.reassociated.get();
     chains_reassociated_.fetch_add(plan.chains_reassociated,
                                    std::memory_order_relaxed);
   }
 
-  // Execute stage: dispatch through the plan.
+  // Execute stage: dispatch through the plan. Every monadic binary plan
+  // is row-restricted and propagates one from-root vector.
+  if (plan.row_restricted) {
+    ppl::MatrixEngineStats engine_stats;
+    Result<BitVector> image =
+        internal::EvaluateFromRoot(q, plan, target, &engine_stats);
+    AccumulateEngineStats(engine_stats);
+    if (!image.ok()) {
+      result.status = image.status();
+      return result;
+    }
+    FinishMonadic(result, plan.shape, std::move(image).value());
+    return result;
+  }
   switch (plan.engine) {
     case EnginePlan::kGkpPositive: {
-      ppl::GkpEngine engine(cache);
-      engine.set_relation_cache(relations);
-      if (plan.row_restricted) {
-        Result<BitVector> image = engine.FromRoot(*q.pplbin);
-        if (!image.ok()) {
-          result.status = image.status();
-          return result;
-        }
-        FinishMonadic(result, plan.shape, std::move(image).value());
-        return result;
-      }
+      ppl::GkpEngine engine(target.cache);
+      engine.set_relation_cache(target.relations);
       Result<BitMatrix> rel = engine.Relation(*q.pplbin);
       if (engine.subrel_hits() != 0) {
         subrel_hits_.fetch_add(engine.subrel_hits(),
@@ -295,20 +293,11 @@ QueryResult QueryService::RunJob(
       break;
     }
     case EnginePlan::kMatrixGeneral: {
-      ppl::MatrixEngine engine(cache, ppl::MultiplyMode::kBitPacked,
+      ppl::MatrixEngine engine(target.cache, ppl::MultiplyMode::kBitPacked,
                                plan.repr);
-      engine.set_relation_cache(relations);
-      if (plan.row_restricted) {
-        Result<BitVector> image = engine.EvaluateFromRoot(*pplbin);
-        AccumulateEngineStats(engine.stats());
-        if (!image.ok()) {
-          result.status = image.status();
-          return result;
-        }
-        FinishMonadic(result, plan.shape, std::move(image).value());
-        return result;
-      }
-      Result<ppl::AnyMatrix> rel = engine.EvaluateAny(*pplbin);
+      engine.set_relation_cache(target.relations);
+      Result<ppl::AnyMatrix> rel = engine.EvaluateAny(
+          plan.reassociated != nullptr ? *plan.reassociated : *q.pplbin);
       AccumulateEngineStats(engine.stats());
       if (!rel.ok()) {
         result.status = rel.status();
@@ -348,7 +337,7 @@ QueryResult QueryService::RunJob(
       hcl::AnswerOptions answer_options;
       answer_options.cancel = cancel;
       hcl::QueryAnswerer answerer(t, *q.hcl, q.tuple_vars, answer_options,
-                                  cache);
+                                  target.cache);
       Status prepared = answerer.Prepare();
       if (!prepared.ok()) {
         result.status = prepared;
@@ -402,56 +391,23 @@ void QueryService::PrepareRun(BatchState& run) {
       (run.deadline.has_value() &&
        std::chrono::steady_clock::now() > *run.deadline);
 
-  // Resolve every distinct document once (touching the store's LRU once
-  // per batch, not once per job) and build one shared axis cache per
-  // distinct raw tree.
+  // Resolve every distinct document once, touching the store's LRU once
+  // per batch, not once per job.
   if (!doomed) {
     for (const QueryJob& job : jobs) {
-      if (job.document != kNoDocument && job.tree != nullptr) {
-        continue;  // malformed; rejected per-job below without touching
-                   // the store (resolution would churn its LRU)
-      }
-      if (job.document != kNoDocument) {
-        if (store_ != nullptr && !run.docs.contains(job.document)) {
-          ResolvedDoc resolved;
-          Result<DocumentPtr> fetched = store_->Fetch(job.document);
-          if (fetched.ok()) {
-            resolved.doc = std::move(fetched).value();
-            resolved.cache = store_->AxisCacheFor(job.document);
-            resolved.plans = store_->PlanMemoFor(job.document);
-            resolved.relations = store_->RelationCacheFor(job.document);
-          } else {
-            // Every job addressing this document reports the fault-in's
-            // typed status (kDataLoss on corruption) instead of a generic
-            // not-found.
-            resolved.fetch_status = fetched.status();
-          }
-          run.docs.emplace(job.document, std::move(resolved));
-        }
-      } else if (job.tree != nullptr &&
-                 !run.tree_caches.contains(job.tree)) {
-        run.tree_caches.emplace(job.tree,
-                                std::make_shared<AxisCache>(*job.tree));
-        run.tree_relations.emplace(job.tree,
-                                   std::make_shared<ppl::RelationCache>());
+      if (!run.docs.contains(job.document)) {
+        run.docs.emplace(job.document, Resolve(job.document));
       }
     }
   }
 
   // Shard-affine grouping: jobs resident on one store shard share that
   // shard's hot caches, so a worker draining one group touches one
-  // shard's working set. The extra tail group collects Tree*-addressed
-  // and malformed jobs.
-  const std::size_t num_shard_groups =
-      store_ != nullptr ? store_->num_shards() : 0;
-  run.groups.assign(num_shard_groups + 1, {});
+  // shard's working set.
+  run.groups.assign(store_ != nullptr ? store_->num_shards() : 1, {});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const QueryJob& job = jobs[i];
-    const bool sharded = store_ != nullptr &&
-                         job.document != kNoDocument && job.tree == nullptr;
-    const std::size_t g =
-        sharded ? store_->shard_of(job.document) : num_shard_groups;
-    run.groups[g].push_back(i);
+    run.groups[store_ != nullptr ? store_->shard_of(jobs[i].document) : 0]
+        .push_back(i);
   }
   // Batch-level common-subexpression ordering: within each group, jobs
   // on one document sharing one canonical query run back to back, so the
@@ -514,34 +470,12 @@ void QueryService::RunOne(BatchState& run, std::size_t i) {
       i < run.compiled.size() && run.compiled[i].has_value()
           ? &*run.compiled[i]
           : nullptr;
-  if (job.document != kNoDocument && job.tree != nullptr) {
-    run.results[i].status = Status::InvalidArgument(
-        "job addresses both a DocumentId and a raw tree");
-  } else if (job.document != kNoDocument) {
-    if (store_ == nullptr) {
-      run.results[i].status = Status::InvalidArgument(
-          "job addresses a DocumentId but the service has no DocumentStore");
-    } else {
-      const ResolvedDoc& resolved = run.docs.at(job.document);
-      if (resolved.doc == nullptr) {
-        run.results[i].status = resolved.fetch_status;
-      } else {
-        run.results[i] =
-            RunJob(&resolved.doc->tree(), job.query, job.shape,
-                   job.engine_override, job.repr_override,
-                   job.force_parse_order, resolved.cache, resolved.plans,
-                   resolved.relations, precompiled, token);
-      }
-    }
+  const Result<JobTarget>& target = run.docs.at(job.document);
+  if (target.ok()) {
+    run.results[i] = RunJob(*target, job.query, job.shape, job.overrides,
+                            precompiled, token);
   } else {
-    auto it = run.tree_caches.find(job.tree);
-    auto rel_it = run.tree_relations.find(job.tree);
-    run.results[i] =
-        RunJob(job.tree, job.query, job.shape, job.engine_override,
-               job.repr_override, job.force_parse_order,
-               it == run.tree_caches.end() ? nullptr : it->second, nullptr,
-               rel_it == run.tree_relations.end() ? nullptr : rel_it->second,
-               precompiled, token);
+    run.results[i].status = target.status();
   }
   switch (run.results[i].status.code()) {
     case StatusCode::kCancelled:
@@ -659,41 +593,26 @@ Result<BatchHandle> QueryService::TrySubmit(std::vector<QueryJob> jobs,
 Result<QueryStream> QueryService::OpenStream(DocumentId document,
                                              std::string_view query,
                                              StreamOptions options) {
-  if (store_ == nullptr) {
-    return Status::InvalidArgument(
-        "stream addresses a DocumentId but the service has no DocumentStore");
-  }
-  XPV_ASSIGN_OR_RETURN(DocumentPtr doc, store_->Fetch(document));
-  // The stream holds both the DocumentPtr and the AxisCache shared_ptr:
-  // a concurrent Remove(document) only forgets the id -- the pinned tree
+  // The stream holds the target's DocumentPtr and AxisCache shared_ptr: a
+  // concurrent Remove(document) only forgets the id -- the pinned tree
   // and cache outlive it, so an open stream keeps serving identical
   // answers (see the stream-outlives-Remove tests).
-  std::shared_ptr<AxisCache> cache = store_->AxisCacheFor(document);
-  const Tree* tree = &doc->tree();
-  return OpenStreamImpl(std::move(doc), tree, std::move(cache),
-                        store_->RelationCacheFor(document), query, options);
+  XPV_ASSIGN_OR_RETURN(JobTarget target, Resolve(document));
+  return OpenStreamImpl(std::move(target), query, options);
 }
 
 Result<QueryStream> QueryService::OpenStream(const Tree& tree,
                                              std::string_view query,
                                              StreamOptions options) {
-  return OpenStreamImpl(nullptr, &tree, std::make_shared<AxisCache>(tree),
-                        nullptr, query, options);
+  return OpenStreamImpl(OneShotTarget(tree), query, options);
 }
 
-Result<QueryStream> QueryService::OpenStreamImpl(
-    DocumentPtr doc, const Tree* tree, std::shared_ptr<AxisCache> cache,
-    std::shared_ptr<ppl::RelationCache> relations, std::string_view query,
-    StreamOptions options) {
-  if (tree == nullptr || tree->empty()) {
-    return Status::InvalidArgument("stream has no tree");
-  }
-  if (cache == nullptr) {
-    // A Remove() racing between Get() and AxisCacheFor() loses the
-    // store's persistent cache (AxisCacheFor returns null for ids it no
-    // longer knows); the pinned tree is still valid, so fall back to a
-    // private cache exactly like the batch path does.
-    cache = std::make_shared<AxisCache>(*tree);
+Result<QueryStream> QueryService::OpenStreamImpl(JobTarget target,
+                                                 std::string_view query,
+                                                 StreamOptions options) {
+  const Tree& tree = *target.tree;
+  if (tree.empty()) {
+    return Status::InvalidArgument("stream has an empty tree");
   }
   Result<std::shared_ptr<const CompiledQuery>> compiled =
       cache_.GetOrCompile(std::string(query));
@@ -704,17 +623,17 @@ Result<QueryStream> QueryService::OpenStreamImpl(
   // limit, so they bypass the per-document PlanMemo.
   const std::size_t budget =
       options.limit == 0 ? 0 : options.offset + options.limit;
-  ExecutionPlan plan = PlanQuery(**compiled, *tree,
+  ExecutionPlan plan = PlanQuery(**compiled, tree,
                                  ResultShape::kTupleStream, {}, budget);
 
   // Same dense ceiling as RunJob: n-ary stream backings (enumerator
   // preprocessing and Fig. 8 materialization alike) build n x n
   // relations, so refuse them on oversized trees up front.
-  if (tree->size() > BitMatrix::kMaxDenseNodes &&
+  if (tree.size() > BitMatrix::kMaxDenseNodes &&
       PlanRequiresDenseRelation(**compiled, plan)) {
     return Status::ResourceExhausted(
         "stream plan " + plan.DebugString() +
-        " requires a dense relation on a " + std::to_string(tree->size()) +
+        " requires a dense relation on a " + std::to_string(tree.size()) +
         "-node tree (dense ceiling " +
         std::to_string(BitMatrix::kMaxDenseNodes) + " nodes)");
   }
@@ -740,10 +659,7 @@ Result<QueryStream> QueryService::OpenStreamImpl(
 
   auto state = std::make_unique<internal::StreamState>();
   state->adm = adm_;
-  state->doc = std::move(doc);
-  state->tree = tree;
-  state->cache = std::move(cache);
-  state->relations = std::move(relations);
+  state->target = std::move(target);
   state->compiled = std::move(compiled).value();
   state->plan = plan;
   state->options = options;
@@ -812,19 +728,7 @@ ServiceStats QueryService::stats() const {
   s.subrel_misses = subrel_misses_.load(std::memory_order_relaxed);
   s.chains_reassociated =
       chains_reassociated_.load(std::memory_order_relaxed);
-  if (store_ != nullptr) {
-    s.shard_stats = store_->shard_stats();
-    for (const DocumentStoreStats& shard : s.shard_stats) {
-      s.subrel_bytes += shard.relation_cache_bytes;
-      s.doc_spills += shard.doc_spills;
-      s.doc_reloads += shard.doc_reloads;
-      s.doc_reattaches += shard.doc_reattaches;
-      s.mmap_bytes += shard.mmap_bytes;
-      s.resident_docs += shard.resident_docs;
-      s.spilled_docs += shard.spilled_docs;
-      s.resident_doc_bytes += shard.resident_doc_bytes;
-    }
-  }
+  if (store_ != nullptr) s.shard_stats = store_->shard_stats();
   return s;
 }
 

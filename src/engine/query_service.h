@@ -18,11 +18,12 @@
 //      then work-steals from the remaining groups so no worker idles
 //      while another shard still has jobs.
 //
-// Jobs address their document either by raw `Tree*` (caller-owned, cache
-// shared for the duration of one batch) or -- preferably -- by DocumentId
-// into a DocumentStore, whose per-document AxisCache persists across
-// batches: a document queried by many batches materializes each axis
-// relation once in its lifetime, not once per batch.
+// Batch jobs address their document by DocumentId into a DocumentStore,
+// whose per-document AxisCache persists across batches: a document
+// queried by many batches materializes each axis relation once in its
+// lifetime, not once per batch. The one-shot Evaluate/OpenStream
+// overloads also take a caller-owned Tree, evaluated with private caches
+// that live for that one call.
 //
 // Admission control. In front of the synchronous EvaluateBatch path the
 // service offers a bounded asynchronous front door: TrySubmit() enqueues a
@@ -91,33 +92,17 @@ struct MatrixEngineStats;
 
 namespace xpv::engine {
 
-/// One unit of work: evaluate `query` on one document, addressed either by
-/// id into the service's DocumentStore (preferred: per-document caches
-/// persist across batches and the scheduler groups jobs by shard) or by
-/// raw tree pointer (shim for caller-owned trees; the tree must stay alive
-/// until the batch returns). Setting both is an error.
+/// One unit of work: evaluate `query` on the stored document `document`
+/// (the service's DocumentStore). kNoDocument, or any id when the service
+/// has no store, fails with InvalidArgument; unknown ids with NotFound.
 struct QueryJob {
-  const Tree* tree = nullptr;
   DocumentId document = kNoDocument;
   std::string query;
   /// What this job's caller consumes (see engine/planner.h). Shapes other
   /// than kFullRelation unlock the monadic row-restricted fast path.
   ResultShape shape = ResultShape::kFullRelation;
-  /// Tests and ablations only: force a specific engine instead of the
-  /// planner's cost-based choice. Must be admissible for the query
-  /// (InvalidArgument otherwise). Bypasses the per-document plan memo.
-  std::optional<EnginePlan> engine_override;
-  /// Tests and ablations only: force the matrix representation (dense /
-  /// sparse / auto) instead of the planner's crossover decision. Only
-  /// meaningful for binary (PPLbin) queries (InvalidArgument otherwise);
-  /// without an engine_override it routes the job to the matrix engine.
-  /// Bypasses the per-document plan memo.
-  std::optional<MatrixRepr> repr_override;
-  /// Tests and ablations only: disable the planner's composition-chain
-  /// reassociation DP so the job evaluates the query exactly as parsed --
-  /// the baseline side of association-order differentials. Bypasses the
-  /// per-document plan memo.
-  bool force_parse_order = false;
+  /// Tests and ablations only: forced planner decisions (engine/planner.h).
+  PlanOverrides overrides;
 };
 
 /// Outcome of one job. Which payload fields are populated follows the
@@ -162,8 +147,10 @@ struct QueryServiceOptions {
   /// Worker threads for batch evaluation. 0 = hardware concurrency;
   /// 1 = evaluate inline on the calling thread (no pool).
   std::size_t num_threads = 0;
-  /// Corpus for jobs addressed by DocumentId. Not owned; must outlive the
-  /// service. Null = only Tree* jobs are accepted.
+  /// Corpus for jobs and streams addressed by DocumentId. Not owned; must
+  /// outlive the service. Null = only the one-shot Tree overloads of
+  /// Evaluate and OpenStream work; every DocumentId fails with
+  /// InvalidArgument.
   DocumentStore* document_store = nullptr;
   /// Admission control: maximum batches waiting in the TrySubmit queue
   /// before new submissions are rejected with kOverloaded. 0 = unbounded.
@@ -263,25 +250,13 @@ struct ServiceStats {
   /// counters above).
   std::uint64_t subrel_hits = 0;
   std::uint64_t subrel_misses = 0;
-  /// Gauge: resident bytes across every document's subrelation cache.
-  std::size_t subrel_bytes = 0;
   /// Composition chains whose association the planner's DP changed,
   /// summed over executed matrix plans (a memoized plan counts each time
   /// a job runs it).
   std::uint64_t chains_reassociated = 0;
-  /// Spill-to-disk residency, aggregated over the store's shards
-  /// (DocumentStoreStats semantics): documents written out / decoded back
-  /// / re-adopted while still alive, total segment bytes memory-mapped,
-  /// and the gauges of in-RAM vs on-disk-only documents. All zero when
-  /// the store has no spill_dir.
-  std::uint64_t doc_spills = 0;
-  std::uint64_t doc_reloads = 0;
-  std::uint64_t doc_reattaches = 0;
-  std::uint64_t mmap_bytes = 0;
-  std::size_t resident_docs = 0;
-  std::size_t spilled_docs = 0;
-  std::size_t resident_doc_bytes = 0;
   /// Per-shard corpus counters (empty when the service has no store).
+  /// Store-wide gauges and counters (resident bytes, spills, reloads)
+  /// are read from DocumentStore::stats() directly.
   std::vector<DocumentStoreStats> shard_stats;
 };
 
@@ -302,19 +277,20 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Evaluates one query immediately on the calling thread.
+  /// Evaluates one query immediately on the calling thread, over a
+  /// caller-owned tree with a fresh AxisCache and no plan memo or
+  /// relation cache.
   QueryResult Evaluate(const Tree& tree, std::string_view query,
                        ResultShape shape = ResultShape::kFullRelation);
   /// Evaluates one query on a stored document (uses its persistent axis
-  /// cache and plan memo). NotFound for unknown ids; InvalidArgument when
-  /// the service has no store.
+  /// cache, plan memo and relation cache). NotFound for unknown ids;
+  /// InvalidArgument for kNoDocument and when the service has no store.
   QueryResult Evaluate(DocumentId document, std::string_view query,
                        ResultShape shape = ResultShape::kFullRelation);
 
   /// Evaluates a batch synchronously; results[i] corresponds to jobs[i].
-  /// Jobs on the same Tree pointer share one AxisCache for the duration of
-  /// the batch; jobs on the same DocumentId share the store's persistent
-  /// per-document cache, across batches. Jobs are scheduled by resident
+  /// Jobs on the same DocumentId share the store's persistent
+  /// per-document caches, across batches. Jobs are scheduled by resident
   /// shard with cross-shard work stealing.
   std::vector<QueryResult> EvaluateBatch(const std::vector<QueryJob>& jobs);
 
@@ -353,27 +329,29 @@ class QueryService {
   DocumentStore* document_store() const { return store_; }
 
  private:
-  /// `precompiled` (optional) is the batch-prepare pass's QueryCache
-  /// result for this job's text; when set, RunJob skips its own cache
-  /// lookup so each job costs exactly one lookup per batch.
-  QueryResult RunJob(
-      const Tree* tree, const std::string& query, ResultShape shape,
-      const std::optional<EnginePlan>& engine_override,
-      const std::optional<MatrixRepr>& repr_override, bool force_parse_order,
-      const std::shared_ptr<AxisCache>& tree_cache,
-      const std::shared_ptr<PlanMemo>& plan_memo,
-      const std::shared_ptr<ppl::RelationCache>& relations,
-      const Result<std::shared_ptr<const CompiledQuery>>* precompiled =
-          nullptr,
-      CancelToken cancel = {});
+  /// The only code that touches the store: fetches `document` and its
+  /// persistent caches into one pinned target. InvalidArgument for
+  /// kNoDocument and when the service has no store; the store's typed
+  /// Fetch status (kNotFound, kDataLoss) otherwise.
+  Result<internal::JobTarget> Resolve(DocumentId document);
+  /// Compiles, plans and executes one job on `target`. `precompiled`
+  /// (optional) is the batch-prepare pass's QueryCache result for this
+  /// job's text; when set, RunJob skips its own cache lookup so each job
+  /// costs exactly one lookup per batch.
+  QueryResult RunJob(const internal::JobTarget& target,
+                     const std::string& query, ResultShape shape,
+                     const PlanOverrides& overrides,
+                     const Result<std::shared_ptr<const CompiledQuery>>*
+                         precompiled = nullptr,
+                     CancelToken cancel = {});
   /// Shared tail of the OpenStream overloads: compiles, plans, takes an
   /// inflight slot, and builds the stream state.
-  Result<QueryStream> OpenStreamImpl(
-      DocumentPtr doc, const Tree* tree, std::shared_ptr<AxisCache> cache,
-      std::shared_ptr<ppl::RelationCache> relations, std::string_view query,
-      StreamOptions options);
+  Result<QueryStream> OpenStreamImpl(internal::JobTarget target,
+                                     std::string_view query,
+                                     StreamOptions options);
 
-  /// Resolves documents/caches and builds the per-shard job groups.
+  /// Resolves each distinct document once and builds the per-shard job
+  /// groups.
   void PrepareRun(internal::BatchState& run);
   /// Runs one claimed job (admission checks, then RunJob).
   void RunOne(internal::BatchState& run, std::size_t job_index);

@@ -11,15 +11,30 @@ namespace xpv::engine {
 
 namespace internal {
 
+Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
+                                   const ExecutionPlan& plan,
+                                   const JobTarget& target,
+                                   ppl::MatrixEngineStats* stats) {
+  if (plan.engine == EnginePlan::kGkpPositive) {
+    ppl::GkpEngine engine(target.cache);
+    engine.set_relation_cache(target.relations);
+    return engine.FromRoot(*q.pplbin);
+  }
+  ppl::MatrixEngine engine(target.cache, ppl::MultiplyMode::kBitPacked,
+                           plan.repr);
+  engine.set_relation_cache(target.relations);
+  Result<BitVector> image = engine.EvaluateFromRoot(
+      plan.reassociated != nullptr ? *plan.reassociated : *q.pplbin);
+  if (stats != nullptr) *stats = engine.stats();
+  return image;
+}
+
 void StreamState::ReleaseResources() {
   enumerator.reset();
   materialized.reset();
   node_set.reset();
   backing_built = false;
-  cache.reset();
-  relations.reset();
-  doc.reset();
-  tree = nullptr;
+  target = {};
   if (!slot_released && adm != nullptr) {
     {
       MutexLock lock(adm->mu);
@@ -55,9 +70,9 @@ Status BuildBacking(StreamState& s) {
       fo::AcqEnumeratorOptions options;
       options.cancel = CancelToken(&s.cancelled, s.options.deadline);
       options.dedup.max_bytes = s.options.max_dedup_bytes;
-      options.axis_cache = s.cache;
-      Result<fo::AcqEnumerator> e =
-          fo::AcqEnumerator::Create(*s.tree, *q.acq, std::move(options));
+      options.axis_cache = s.target.cache;
+      Result<fo::AcqEnumerator> e = fo::AcqEnumerator::Create(
+          *s.target.tree, *q.acq, std::move(options));
       if (!e.ok()) return e.status();
       s.enumerator.emplace(std::move(e).value());
       break;
@@ -65,8 +80,8 @@ Status BuildBacking(StreamState& s) {
     case StreamBacking::kMaterialized: {
       hcl::AnswerOptions options;
       options.cancel = CancelToken(&s.cancelled, s.options.deadline);
-      hcl::QueryAnswerer answerer(*s.tree, *q.hcl, q.tuple_vars, options,
-                                  s.cache);
+      hcl::QueryAnswerer answerer(*s.target.tree, *q.hcl, q.tuple_vars,
+                                  options, s.target.cache);
       XPV_RETURN_IF_ERROR(answerer.Prepare());
       Result<xpath::TupleSet> answers = answerer.Answer();
       if (!answers.ok()) return answers.status();
@@ -76,24 +91,10 @@ Status BuildBacking(StreamState& s) {
       break;
     }
     case StreamBacking::kNodeSet: {
-      // The monadic from-root path of the planned binary engine.
-      if (s.plan.engine == EnginePlan::kGkpPositive) {
-        ppl::GkpEngine engine(s.cache);
-        engine.set_relation_cache(s.relations);
-        Result<BitVector> image = engine.FromRoot(*q.pplbin);
-        if (!image.ok()) return image.status();
-        s.node_set.emplace(std::move(image).value());
-      } else {
-        ppl::MatrixEngine engine(s.cache, ppl::MultiplyMode::kBitPacked,
-                                 s.plan.repr);
-        engine.set_relation_cache(s.relations);
-        const ppl::PplBinExpr& px = s.plan.reassociated != nullptr
-                                        ? *s.plan.reassociated
-                                        : *q.pplbin;
-        Result<BitVector> image = engine.EvaluateFromRoot(px);
-        if (!image.ok()) return image.status();
-        s.node_set.emplace(std::move(image).value());
-      }
+      Result<BitVector> image =
+          EvaluateFromRoot(q, s.plan, s.target, /*stats=*/nullptr);
+      if (!image.ok()) return image.status();
+      s.node_set.emplace(std::move(image).value());
       s.node_pos = 0;
       break;
     }

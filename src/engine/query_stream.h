@@ -51,7 +51,8 @@
 // else (NextBatch/Next/Close/stats) is single-consumer -- callers
 // serialize access to one stream. Different streams are independent.
 // A stream may outlive its QueryService (it shares the admission state
-// it must update on close), but not its DocumentStore-less raw Tree.
+// it must update on close); a stream opened on a caller-owned Tree must
+// not outlive that tree.
 #ifndef XPV_ENGINE_QUERY_STREAM_H_
 #define XPV_ENGINE_QUERY_STREAM_H_
 
@@ -72,6 +73,10 @@
 #include "fo/enumerate.h"
 #include "tree/axis_cache.h"
 #include "xpath/eval.h"
+
+namespace xpv::ppl {
+struct MatrixEngineStats;
+}  // namespace xpv::ppl
 
 namespace xpv::engine {
 
@@ -181,6 +186,30 @@ class QueryStream {
 
 namespace internal {
 
+/// The one tree a job or stream evaluates on, with the caches that come
+/// with it. QueryService::Resolve builds it for a stored document (the
+/// pinned DocumentPtr and the store's persistent per-document caches);
+/// the one-shot Tree entry points build a private one (a fresh AxisCache,
+/// no plan memo, no relation cache) over the caller's tree.
+struct JobTarget {
+  DocumentPtr doc;  // null for a caller-owned tree
+  const Tree* tree = nullptr;
+  std::shared_ptr<AxisCache> cache;
+  /// Null: every job plans afresh.
+  std::shared_ptr<PlanMemo> plans;
+  /// Null: no subrelation reuse across evaluations.
+  std::shared_ptr<ppl::RelationCache> relations;
+};
+
+/// The monadic from-root node set of a row-restricted binary plan: GKP's
+/// FromRoot, or the matrix engine's EvaluateFromRoot on the plan's
+/// reassociated expression. `stats` (nullable) receives the matrix
+/// engine's kernel counters on every return path.
+Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
+                                   const ExecutionPlan& plan,
+                                   const JobTarget& target,
+                                   ppl::MatrixEngineStats* stats);
+
 /// The slice of QueryService's admission state shared with every stream
 /// (and batch) it admits: streams must release their inflight slot --
 /// and wake the dispatcher -- even if they outlive the service, so the
@@ -205,14 +234,10 @@ struct AdmissionShared {
 struct StreamState {
   // Pins + plan, immutable after OpenStream.
   std::shared_ptr<AdmissionShared> adm;
-  DocumentPtr doc;        // null for raw-Tree streams
-  const Tree* tree = nullptr;
-  std::shared_ptr<AxisCache> cache;
-  /// The document's subrelation cache (null for raw-Tree streams and
-  /// when the store disables it); consulted by the node-set backing's
-  /// engine. Stream consults show up in the store's relation_hits/
-  /// relation_misses, not in the service's job counters.
-  std::shared_ptr<ppl::RelationCache> relations;
+  /// The pinned tree and its caches. The node-set backing consults the
+  /// relation cache; stream consults show up in the store's
+  /// relation_hits/relation_misses, not in the service's job counters.
+  JobTarget target;
   std::shared_ptr<const CompiledQuery> compiled;
   ExecutionPlan plan;
   StreamOptions options;

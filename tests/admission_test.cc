@@ -36,12 +36,12 @@ Tree MakeTree(std::uint64_t seed, std::size_t nodes) {
   return RandomTree(rng, opts);
 }
 
-/// A batch of `n` jobs running `query` against `tree`.
-std::vector<QueryJob> TreeBatch(const Tree& tree, const std::string& query,
-                                std::size_t n) {
+/// A batch of `n` jobs running `query` against stored document `id`.
+std::vector<QueryJob> DocBatch(DocumentId id, const std::string& query,
+                               std::size_t n) {
   std::vector<QueryJob> jobs(n);
   for (QueryJob& job : jobs) {
-    job.tree = &tree;
+    job.document = id;
     job.query = query;
   }
   return jobs;
@@ -49,14 +49,20 @@ std::vector<QueryJob> TreeBatch(const Tree& tree, const std::string& query,
 
 // A general-PPLbin (complement) query keeps the matrix engine busy with
 // full O(n^3/64) Boolean products, so a batch of them holds the service
-// in flight long enough for the admission queue to fill behind it.
+// in flight long enough for the admission queue to fill behind it. Stores
+// serving it disable the relation cache, so every job evaluates instead of
+// hitting the first job's cached relation.
 constexpr char kHeavyQuery[] = "descendant::* except descendant::a";
 constexpr char kLightQuery[] = "child::a";
 
 TEST(AdmissionTest, OverfilledQueueRejectsWithOverloaded) {
   Tree heavy_tree = MakeTree(1, 1200);
   Tree light_tree = MakeTree(2, 12);
+  DocumentStore store({.relation_cache_bytes = 0});
+  const DocumentId heavy_id = store.Insert(Tree(heavy_tree));
+  const DocumentId light_id = store.Insert(Tree(light_tree));
   QueryService service({.num_threads = 2,
+                        .document_store = &store,
                         .max_queued_batches = 1,
                         .max_inflight_batches = 1});
 
@@ -71,14 +77,14 @@ TEST(AdmissionTest, OverfilledQueueRejectsWithOverloaded) {
   ASSERT_TRUE(light_expected.status.ok());
 
   // One slow batch occupies the single in-flight slot...
-  auto heavy = service.TrySubmit(TreeBatch(heavy_tree, kHeavyQuery, 6));
+  auto heavy = service.TrySubmit(DocBatch(heavy_id, kHeavyQuery, 6));
   ASSERT_TRUE(heavy.ok()) << heavy.status();
   // ...so a burst of further submissions overfills the depth-1 queue.
   std::vector<BatchHandle> accepted = {*heavy};
   std::vector<std::size_t> accepted_sizes = {6};
   std::size_t rejected = 0;
   for (int i = 0; i < 32; ++i) {
-    auto h = service.TrySubmit(TreeBatch(light_tree, kLightQuery, 2));
+    auto h = service.TrySubmit(DocBatch(light_id, kLightQuery, 2));
     if (h.ok()) {
       accepted.push_back(*h);
       accepted_sizes.push_back(2);
@@ -117,14 +123,16 @@ TEST(AdmissionTest, OverfilledQueueRejectsWithOverloaded) {
 }
 
 TEST(AdmissionTest, AcceptedJobsRunExactlyOnceUnderChurn) {
-  Tree tree = MakeTree(3, 40);
+  DocumentStore store;
+  const DocumentId id = store.Insert(MakeTree(3, 40));
   QueryService service({.num_threads = 2,
+                        .document_store = &store,
                         .max_queued_batches = 4,
                         .max_inflight_batches = 2});
   std::vector<BatchHandle> accepted;
   std::uint64_t rejected = 0;
   for (int i = 0; i < 100; ++i) {
-    auto h = service.TrySubmit(TreeBatch(tree, "descendant::b", 3));
+    auto h = service.TrySubmit(DocBatch(id, "descendant::b", 3));
     if (h.ok()) {
       accepted.push_back(*h);
     } else {
@@ -149,14 +157,16 @@ TEST(AdmissionTest, AcceptedJobsRunExactlyOnceUnderChurn) {
 }
 
 TEST(AdmissionTest, DestructionDrainsAcceptedBatches) {
-  Tree tree = MakeTree(4, 64);
+  DocumentStore store;  // outlives the service and its batches
+  const DocumentId id = store.Insert(MakeTree(4, 64));
   std::vector<BatchHandle> handles;
   {
     QueryService service({.num_threads = 2,
+                          .document_store = &store,
                           .max_queued_batches = 0,  // unbounded queue
                           .max_inflight_batches = 1});
     for (int i = 0; i < 8; ++i) {
-      auto h = service.TrySubmit(TreeBatch(tree, "descendant::a", 4));
+      auto h = service.TrySubmit(DocBatch(id, "descendant::a", 4));
       ASSERT_TRUE(h.ok()) << h.status();
       handles.push_back(*h);
     }
@@ -200,9 +210,12 @@ TEST(AdmissionTest, ExpiredDeadlineSkipsJobsWithDeadlineExceeded) {
 }
 
 TEST(AdmissionTest, CancelSkipsUnstartedJobsAndAccountsExactly) {
-  Tree tree = MakeTree(6, 900);
-  QueryService service({.num_threads = 2, .max_inflight_batches = 1});
-  auto h = service.TrySubmit(TreeBatch(tree, kHeavyQuery, 8));
+  DocumentStore store({.relation_cache_bytes = 0});
+  const DocumentId id = store.Insert(MakeTree(6, 900));
+  QueryService service({.num_threads = 2,
+                        .document_store = &store,
+                        .max_inflight_batches = 1});
+  auto h = service.TrySubmit(DocBatch(id, kHeavyQuery, 8));
   ASSERT_TRUE(h.ok()) << h.status();
   h->Cancel();
   std::vector<QueryResult> results = h->Wait();
@@ -230,7 +243,9 @@ TEST(AdmissionTest, CancelSkipsUnstartedJobsAndAccountsExactly) {
 // batch start, so an accepted job must either produce the correct result
 // for its document's (immutable) content or report NotFound when the
 // document was removed before its batch resolved it -- never crash, hang,
-// or return a wrong payload.
+// or return a wrong payload. A few documents are never churned, and every
+// batch addresses one of them, so every batch runs at least one job
+// whatever the interleaving: the NotFound branch never starves the OK one.
 TEST(AdmissionStressTest, ShardRebalanceUnderRemove) {
   // Every document is structurally identical, so any OK result must match
   // one precomputed expectation per query regardless of interleaving.
@@ -251,18 +266,19 @@ TEST(AdmissionStressTest, ShardRebalanceUnderRemove) {
                         .max_queued_batches = 0,
                         .max_inflight_batches = 2});
   constexpr std::size_t kDocs = 16;
+  constexpr std::size_t kPinned = 4;  // live[0..kPinned) are never removed
   std::vector<std::atomic<DocumentId>> live(kDocs);
   for (std::size_t d = 0; d < kDocs; ++d) {
     live[d] = store.InsertTerm(term).value();
   }
 
-  // Churn thread: keep removing documents and replacing them with fresh
-  // ids (which land on rotating shards) while batches run.
+  // Churn thread: keep removing unpinned documents and replacing them
+  // with fresh ids (which land on rotating shards) while batches run.
   std::atomic<bool> stop{false};
   std::thread churn([&] {
     Rng rng(99);
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::size_t d = rng.Below(kDocs);
+      const std::size_t d = kPinned + rng.Below(kDocs - kPinned);
       const DocumentId old_id = live[d].load(std::memory_order_relaxed);
       const DocumentId new_id = store.InsertTerm(term).value();
       live[d].store(new_id, std::memory_order_relaxed);
@@ -274,21 +290,27 @@ TEST(AdmissionStressTest, ShardRebalanceUnderRemove) {
   Rng rng(7);
   std::vector<BatchHandle> handles;
   std::vector<std::vector<std::size_t>> query_of_job;
+  std::vector<std::vector<bool>> pinned_job;
   for (int iter = 0; iter < 40; ++iter) {
     std::vector<QueryJob> jobs;
     std::vector<std::size_t> qids;
+    std::vector<bool> pinned;
     for (int j = 0; j < 12; ++j) {
       QueryJob job;
-      job.document = live[rng.Below(kDocs)].load(std::memory_order_relaxed);
+      // The first job of every batch addresses a never-removed document.
+      const std::size_t d = j == 0 ? rng.Below(kPinned) : rng.Below(kDocs);
+      job.document = live[d].load(std::memory_order_relaxed);
       const std::size_t qid = rng.Below(queries.size());
       job.query = queries[qid];
       jobs.push_back(std::move(job));
       qids.push_back(qid);
+      pinned.push_back(d < kPinned);
     }
     auto h = service.TrySubmit(std::move(jobs));
     ASSERT_TRUE(h.ok()) << h.status();  // queue is unbounded here
     handles.push_back(*h);
     query_of_job.push_back(std::move(qids));
+    pinned_job.push_back(std::move(pinned));
   }
 
   std::size_t ok_jobs = 0, not_found_jobs = 0;
@@ -304,6 +326,7 @@ TEST(AdmissionStressTest, ShardRebalanceUnderRemove) {
         ++ok_jobs;
       } else {
         EXPECT_EQ(r.status.code(), StatusCode::kNotFound) << r.status;
+        EXPECT_FALSE(pinned_job[b][i]) << "batch " << b << " job " << i;
         ++not_found_jobs;
       }
     }
@@ -324,8 +347,10 @@ TEST(AdmissionTest, SingleJobAndEmptyBatchesComplete) {
   // Single-job batches are the natural RPC shape; they must flow through
   // the pool (not serialize on the dispatcher thread) and empty batches
   // must complete immediately instead of hanging their handle.
-  Tree tree = MakeTree(8, 20);
+  DocumentStore store;
+  const DocumentId id = store.Insert(MakeTree(8, 20));
   QueryService service({.num_threads = 2,
+                        .document_store = &store,
                         .max_queued_batches = 0,
                         .max_inflight_batches = 4});
   auto empty = service.TrySubmit({});
@@ -333,7 +358,7 @@ TEST(AdmissionTest, SingleJobAndEmptyBatchesComplete) {
   EXPECT_TRUE(empty->Wait().empty());
   std::vector<BatchHandle> handles;
   for (int i = 0; i < 20; ++i) {
-    auto h = service.TrySubmit(TreeBatch(tree, kLightQuery, 1));
+    auto h = service.TrySubmit(DocBatch(id, kLightQuery, 1));
     ASSERT_TRUE(h.ok()) << h.status();
     handles.push_back(*h);
   }

@@ -4,6 +4,7 @@
 // every thread count must agree with the literal Fig. 2 semantics
 // (xpath::DirectEvaluator), and batch results must be byte-identical
 // across thread counts.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -96,14 +97,15 @@ TEST_P(EngineDifferentialTest, GkpEngineMatchesDirectSemantics) {
 
 struct Batch {
   std::vector<Tree> trees;
-  std::vector<ppl::PplBinPtr> exprs;   // exprs[i] belongs to jobs[i]
-  std::vector<engine::QueryJob> jobs;  // tree pointers into `trees`
+  std::vector<ppl::PplBinPtr> exprs;   // queries[i] is exprs[i] as text
+  std::vector<std::size_t> tree_of;    // jobs[i] runs on trees[tree_of[i]]
+  std::vector<std::string> queries;
 };
 
 /// A mixed batch over several trees; queries are submitted as Core XPath
 /// 2.0 surface text, exercising the full parse -> plan -> execute path.
-/// Tree pointers repeat so jobs share per-tree axis caches, and query
-/// texts repeat so the compiled-query cache gets hits.
+/// Trees repeat so jobs share per-document axis caches, and query texts
+/// repeat so the compiled-query cache gets hits.
 Batch MakeBatch(std::uint64_t seed, std::size_t num_jobs) {
   Batch b;
   Rng rng(seed);
@@ -112,13 +114,27 @@ Batch MakeBatch(std::uint64_t seed, std::size_t num_jobs) {
     ppl::PplBinPtr p = i % 5 == 4 && i >= 5
                            ? b.exprs[i - 5]->Clone()  // repeat query text
                            : RandomPplBin(rng, 3, /*allow_complement=*/true);
-    engine::QueryJob job;
-    job.tree = &b.trees[rng.Below(b.trees.size())];
-    job.query = ppl::ToXPath(*p)->ToString();
-    b.jobs.push_back(std::move(job));
+    b.tree_of.push_back(rng.Below(b.trees.size()));
+    b.queries.push_back(ppl::ToXPath(*p)->ToString());
     b.exprs.push_back(std::move(p));
   }
   return b;
+}
+
+/// Stores copies of the batch's trees in `store` and returns the batch's
+/// jobs addressing them.
+std::vector<engine::QueryJob> StoreJobs(const Batch& batch,
+                                        engine::DocumentStore& store) {
+  std::vector<engine::DocumentId> ids;
+  for (const Tree& t : batch.trees) ids.push_back(store.Insert(Tree(t)));
+  std::vector<engine::QueryJob> jobs;
+  for (std::size_t i = 0; i < batch.queries.size(); ++i) {
+    engine::QueryJob job;
+    job.document = ids[batch.tree_of[i]];
+    job.query = batch.queries[i];
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
 }
 
 void ExpectResultsEqual(const std::vector<engine::QueryResult>& a,
@@ -144,21 +160,25 @@ TEST_P(ServiceDifferentialTest, ServiceMatchesDirectSemanticsAllThreadCounts) {
   Batch batch = MakeBatch(GetParam(), 40);
   std::vector<std::vector<engine::QueryResult>> per_thread_count;
   for (std::size_t threads : {1u, 2u, 8u}) {
-    engine::QueryService service({.num_threads = threads});
-    per_thread_count.push_back(service.EvaluateBatch(batch.jobs));
+    // A fresh store per service: every thread count starts cold.
+    engine::DocumentStore store;
+    const std::vector<engine::QueryJob> jobs = StoreJobs(batch, store);
+    engine::QueryService service(
+        {.num_threads = threads, .document_store = &store});
+    per_thread_count.push_back(service.EvaluateBatch(jobs));
     const auto& results = per_thread_count.back();
-    ASSERT_EQ(results.size(), batch.jobs.size());
+    ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].status.ok())
           << "threads=" << threads << " job " << i << ": "
-          << results[i].status << "\nquery: " << batch.jobs[i].query;
-      BitMatrix truth = GroundTruth(*batch.jobs[i].tree, *batch.exprs[i]);
+          << results[i].status << "\nquery: " << jobs[i].query;
+      const Tree& t = batch.trees[batch.tree_of[i]];
+      BitMatrix truth = GroundTruth(t, *batch.exprs[i]);
       EXPECT_EQ(results[i].relation, truth)
           << "threads=" << threads << " job " << i
-          << "\nquery: " << batch.jobs[i].query;
+          << "\nquery: " << jobs[i].query;
       // The monadic restriction must be the root row of the relation.
-      EXPECT_EQ(results[i].from_root,
-                truth.Row(batch.jobs[i].tree->root()))
+      EXPECT_EQ(results[i].from_root, truth.Row(t.root()))
           << "threads=" << threads << " job " << i;
     }
   }
@@ -169,57 +189,19 @@ TEST_P(ServiceDifferentialTest, ServiceMatchesDirectSemanticsAllThreadCounts) {
 
 TEST_P(ServiceDifferentialTest, RepeatedBatchesAreDeterministic) {
   Batch batch = MakeBatch(GetParam() ^ 0xabcdef, 20);
-  engine::QueryService service({.num_threads = 8});
-  auto first = service.EvaluateBatch(batch.jobs);
-  auto second = service.EvaluateBatch(batch.jobs);
+  engine::DocumentStore store;
+  const std::vector<engine::QueryJob> jobs = StoreJobs(batch, store);
+  engine::QueryService service({.num_threads = 8, .document_store = &store});
+  auto first = service.EvaluateBatch(jobs);
+  auto second = service.EvaluateBatch(jobs);
   ExpectResultsEqual(first, second);
   // Every distinct query compiled exactly once across both batches.
   EXPECT_EQ(service.cache().hits() + service.cache().misses(),
-            2 * batch.jobs.size());
+            2 * jobs.size());
   EXPECT_LT(service.cache().misses(), service.cache().hits());
 }
 
 // --------------------------------------------- DocumentStore equivalence
-
-/// The same batch addressed through a DocumentStore: jobs[i] targets the
-/// stored copy of the tree jobs[i] used in the Tree* shim path.
-std::vector<engine::QueryJob> ToStoreJobs(
-    const Batch& batch, const std::vector<engine::DocumentId>& ids) {
-  std::vector<engine::QueryJob> jobs;
-  for (const engine::QueryJob& job : batch.jobs) {
-    engine::QueryJob doc_job;
-    for (std::size_t k = 0; k < batch.trees.size(); ++k) {
-      if (job.tree == &batch.trees[k]) doc_job.document = ids[k];
-    }
-    EXPECT_NE(doc_job.document, engine::kNoDocument);
-    doc_job.query = job.query;
-    jobs.push_back(std::move(doc_job));
-  }
-  return jobs;
-}
-
-TEST_P(ServiceDifferentialTest, DocumentStorePathMatchesTreePath) {
-  Batch batch = MakeBatch(GetParam() ^ 0x90c5, 40);
-  engine::DocumentStore store;
-  std::vector<engine::DocumentId> ids;
-  for (const Tree& t : batch.trees) {
-    Tree copy = t;  // the store owns its documents
-    ids.push_back(store.Insert(std::move(copy)));
-  }
-  std::vector<engine::QueryJob> doc_jobs = ToStoreJobs(batch, ids);
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    engine::QueryService tree_service({.num_threads = threads});
-    engine::QueryService doc_service(
-        {.num_threads = threads, .document_store = &store});
-    auto tree_results = tree_service.EvaluateBatch(batch.jobs);
-    auto doc_results = doc_service.EvaluateBatch(doc_jobs);
-    for (const auto& r : tree_results) {
-      ASSERT_TRUE(r.status.ok()) << r.status;
-    }
-    ExpectResultsEqual(tree_results, doc_results);
-  }
-}
 
 TEST_P(ServiceDifferentialTest, ShardedStoreMatchesSingleStore) {
   // The sharded corpus must be invisible to results: the same batch
@@ -234,14 +216,9 @@ TEST_P(ServiceDifferentialTest, ShardedStoreMatchesSingleStore) {
     for (std::size_t shards : {1u, 4u, 16u}) {
       engine::DocumentStore store(
           {.max_hot_caches = 64, .num_shards = shards});
-      std::vector<engine::DocumentId> ids;
-      for (const Tree& t : batch.trees) {
-        Tree copy = t;
-        ids.push_back(store.Insert(std::move(copy)));
-      }
       engine::QueryService service(
           {.num_threads = threads, .document_store = &store});
-      auto results = service.EvaluateBatch(ToStoreJobs(batch, ids));
+      auto results = service.EvaluateBatch(StoreJobs(batch, store));
       for (const auto& r : results) ASSERT_TRUE(r.status.ok()) << r.status;
       if (baselines.back().empty()) {
         baselines.back() = std::move(results);
@@ -257,12 +234,13 @@ TEST_P(ServiceDifferentialTest, ShardedStoreMatchesSingleStore) {
 TEST_P(ServiceDifferentialTest, StoreCachesPersistAcrossBatches) {
   Batch batch = MakeBatch(GetParam() ^ 0xcafe, 30);
   engine::DocumentStore store;
+  std::vector<engine::QueryJob> doc_jobs = StoreJobs(batch, store);
   std::vector<engine::DocumentId> ids;
-  for (const Tree& t : batch.trees) {
-    Tree copy = t;
-    ids.push_back(store.Insert(std::move(copy)));
+  for (const engine::QueryJob& job : doc_jobs) {
+    if (std::find(ids.begin(), ids.end(), job.document) == ids.end()) {
+      ids.push_back(job.document);
+    }
   }
-  std::vector<engine::QueryJob> doc_jobs = ToStoreJobs(batch, ids);
 
   engine::QueryService service(
       {.num_threads = 8, .document_store = &store});
@@ -396,15 +374,29 @@ TEST(DocumentStoreTest, ErrorsForUnknownOrAmbiguousAddressing) {
   auto results = storeless.EvaluateBatch({job});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
-  // Both tree and document set.
-  Tree t = *Tree::ParseTerm("a(b)");
-  engine::DocumentId id = store.Insert(std::move(t));
-  engine::QueryJob both;
-  both.document = id;
-  both.tree = &store.Get(id)->tree();
-  both.query = "child::a";
-  auto both_results = service.EvaluateBatch({both});
-  EXPECT_EQ(both_results[0].status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DocumentStoreTest, NoDocumentIsInvalidArgumentOnEveryPath) {
+  // kNoDocument has one typed answer -- InvalidArgument -- on the batch,
+  // Evaluate and OpenStream paths, with or without a store.
+  engine::DocumentStore store;
+  store.Insert(*Tree::ParseTerm("a(b)"));
+  engine::QueryService stored({.num_threads = 2, .document_store = &store});
+  engine::QueryService storeless({.num_threads = 1});
+  for (engine::QueryService* service : {&stored, &storeless}) {
+    engine::QueryJob job;  // document = kNoDocument
+    job.query = "child::b";
+    auto batch = service->EvaluateBatch({job, job});
+    ASSERT_EQ(batch.size(), 2u);
+    for (const engine::QueryResult& r : batch) {
+      EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << r.status;
+    }
+    EXPECT_EQ(service->Evaluate(engine::kNoDocument, "child::b").status.code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        service->OpenStream(engine::kNoDocument, "child::b").status().code(),
+        StatusCode::kInvalidArgument);
+  }
 }
 
 // ------------------------------------------------------- n-ary dispatch

@@ -5,7 +5,7 @@
 // The planner's contract: the cost model may pick *any* admissible
 // engine, and a caller may request *any* result shape, without the answer
 // changing. So for seeded random (tree, query, shape) triples, every
-// admissible plan choice (forced via QueryJob::engine_override) and every
+// admissible plan choice (forced via PlanOverrides::engine) and every
 // shape must produce results consistent with the full-relation
 // matrix-engine ground truth, byte-identical at 1, 2 and 8 threads.
 #include <algorithm>
@@ -106,6 +106,18 @@ void ExpectShapeConsistent(const engine::QueryResult& result,
   }
 }
 
+/// Serves `jobs` on `t` through a fresh store and service (every job is
+/// pointed at the stored copy), so each call starts with cold caches.
+std::vector<engine::QueryResult> EvaluateOnFreshStore(
+    const Tree& t, std::vector<engine::QueryJob> jobs, std::size_t threads) {
+  engine::DocumentStore store;
+  const engine::DocumentId id = store.Insert(Tree(t));
+  for (engine::QueryJob& job : jobs) job.document = id;
+  engine::QueryService service(
+      {.num_threads = threads, .document_store = &store});
+  return service.EvaluateBatch(jobs);
+}
+
 // ----------------------------------------- engine-level monadic kernels
 
 class PlannerDifferentialTest
@@ -173,13 +185,12 @@ TEST_P(PlannerDifferentialTest, AllPlansAndShapesAgreeWithGroundTruth) {
     std::vector<ResultShape> job_shapes;
     for (ResultShape shape : kAllShapes) {
       engine::QueryJob job;
-      job.tree = &t;
       job.query = text;
       job.shape = shape;
       jobs.push_back(job);
       job_shapes.push_back(shape);
       for (EnginePlan forced : (*compiled)->admissible) {
-        job.engine_override = forced;
+        job.overrides.engine = forced;
         jobs.push_back(job);
         job_shapes.push_back(shape);
       }
@@ -187,8 +198,7 @@ TEST_P(PlannerDifferentialTest, AllPlansAndShapesAgreeWithGroundTruth) {
 
     std::vector<std::vector<engine::QueryResult>> per_thread_count;
     for (std::size_t threads : {1u, 2u, 8u}) {
-      engine::QueryService service({.num_threads = threads});
-      per_thread_count.push_back(service.EvaluateBatch(jobs));
+      per_thread_count.push_back(EvaluateOnFreshStore(t, jobs, threads));
       const auto& results = per_thread_count.back();
       ASSERT_EQ(results.size(), jobs.size());
       for (std::size_t i = 0; i < results.size(); ++i) {
@@ -198,8 +208,8 @@ TEST_P(PlannerDifferentialTest, AllPlansAndShapesAgreeWithGroundTruth) {
                           "\ntree: " + t.ToTerm();
         ExpectShapeConsistent(results[i], job_shapes[i], t, truth, ctx);
         // A forced engine must actually be the one that ran.
-        if (jobs[i].engine_override.has_value()) {
-          EXPECT_EQ(results[i].plan.engine, *jobs[i].engine_override) << ctx;
+        if (jobs[i].overrides.engine.has_value()) {
+          EXPECT_EQ(results[i].plan.engine, *jobs[i].overrides.engine) << ctx;
         }
       }
     }
@@ -247,14 +257,13 @@ TEST_P(PlannerDifferentialTest, AllReprsAndShapesAgreeWithGroundTruth) {
     for (ResultShape shape : kAllShapes) {
       for (MatrixRepr repr : kAllReprs) {
         engine::QueryJob job;
-        job.tree = &t;
         job.query = text;
         job.shape = shape;
-        job.repr_override = repr;
+        job.overrides.repr = repr;
         jobs.push_back(job);
         job_shapes.push_back(shape);
         for (engine::EnginePlan forced : (*compiled)->admissible) {
-          job.engine_override = forced;
+          job.overrides.engine = forced;
           jobs.push_back(job);
           job_shapes.push_back(shape);
         }
@@ -263,13 +272,12 @@ TEST_P(PlannerDifferentialTest, AllReprsAndShapesAgreeWithGroundTruth) {
 
     std::vector<std::vector<engine::QueryResult>> per_thread_count;
     for (std::size_t threads : {1u, 2u, 8u}) {
-      engine::QueryService service({.num_threads = threads});
-      per_thread_count.push_back(service.EvaluateBatch(jobs));
+      per_thread_count.push_back(EvaluateOnFreshStore(t, jobs, threads));
       const auto& results = per_thread_count.back();
       ASSERT_EQ(results.size(), jobs.size());
       for (std::size_t i = 0; i < results.size(); ++i) {
         std::string ctx = "threads=" + std::to_string(threads) + " repr=" +
-                          std::string(MatrixReprName(*jobs[i].repr_override)) +
+                          std::string(MatrixReprName(*jobs[i].overrides.repr)) +
                           " job " + std::to_string(i) + " plan " +
                           results[i].plan.DebugString() + "\nquery: " + text +
                           "\ntree: " + t.ToTerm();
@@ -277,12 +285,12 @@ TEST_P(PlannerDifferentialTest, AllReprsAndShapesAgreeWithGroundTruth) {
         // Small trees always densify the payload; the sparse handoff is
         // reserved for trees above the dense ceiling.
         EXPECT_EQ(results[i].relation_sparse, nullptr) << ctx;
-        if (!jobs[i].engine_override.has_value()) {
+        if (!jobs[i].overrides.engine.has_value()) {
           // A bare repr override must route to the matrix engine and pin
           // the representation it asked for.
           EXPECT_EQ(results[i].plan.engine, EnginePlan::kMatrixGeneral)
               << ctx;
-          EXPECT_EQ(results[i].plan.repr, *jobs[i].repr_override) << ctx;
+          EXPECT_EQ(results[i].plan.repr, *jobs[i].overrides.repr) << ctx;
         }
       }
     }
@@ -305,12 +313,11 @@ TEST_P(PlannerDifferentialTest, AllReprsAndShapesAgreeWithGroundTruth) {
 // Forcing a representation on an n-ary query is meaningless: rejected.
 TEST(PlannerReprOverrideTest, NaryQueriesRejectReprOverrides) {
   Tree t = *Tree::ParseTerm("a(b,c)");
-  engine::QueryService service({.num_threads = 1});
   engine::QueryJob job;
-  job.tree = &t;
   job.query = "descendant::b/$x";
-  job.repr_override = MatrixRepr::kSparse;
-  std::vector<engine::QueryResult> results = service.EvaluateBatch({job});
+  job.overrides.repr = MatrixRepr::kSparse;
+  std::vector<engine::QueryResult> results =
+      EvaluateOnFreshStore(t, {job}, /*threads=*/1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
 }
@@ -506,14 +513,12 @@ TEST(PlannerCostModelTest, LargeFullRelationTakesTheSparseRoute) {
   EXPECT_EQ(plan.alternative_cost, gkp.cost) << plan.DebugString();
 
   engine::QueryJob job;
-  job.tree = &t;
   job.query = text;
   job.shape = ResultShape::kFullRelation;
   engine::QueryJob forced = job;
-  forced.engine_override = EnginePlan::kGkpPositive;
-  engine::QueryService service({.num_threads = 2});
+  forced.overrides.engine = EnginePlan::kGkpPositive;
   std::vector<engine::QueryResult> results =
-      service.EvaluateBatch({job, forced});
+      EvaluateOnFreshStore(t, {job, forced}, /*threads=*/2);
   ASSERT_EQ(results.size(), 2u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status;
   ASSERT_TRUE(results[1].status.ok()) << results[1].status;
@@ -609,15 +614,29 @@ TEST(PlanMemoTest, DocumentStoreMemoizesPlansPerShape) {
 
 TEST(PlanMemoTest, BoundedInsertion) {
   engine::PlanMemo memo(/*max_entries=*/2);
-  ExecutionPlan plan;
-  memo.Insert("a", ResultShape::kBoolean, plan);
-  memo.Insert("b", ResultShape::kBoolean, plan);
-  memo.Insert("c", ResultShape::kBoolean, plan);  // over the bound: dropped
+  int computed = 0;
+  // Each computed plan carries its computation number as its cost, so a
+  // memo hit is visible as an old number coming back.
+  auto plan_of = [&](std::string_view text, ResultShape shape) {
+    return memo.GetOrCompute(text, shape, [&] {
+      ExecutionPlan plan;
+      plan.cost = ++computed;
+      return plan;
+    });
+  };
+  EXPECT_EQ(plan_of("a", ResultShape::kBoolean).cost, 1.0);
+  EXPECT_EQ(plan_of("b", ResultShape::kBoolean).cost, 2.0);
+  // Over the bound: planned for the caller but not inserted.
+  EXPECT_EQ(plan_of("c", ResultShape::kBoolean).cost, 3.0);
   EXPECT_EQ(memo.size(), 2u);
-  EXPECT_TRUE(memo.Lookup("a", ResultShape::kBoolean).has_value());
-  EXPECT_FALSE(memo.Lookup("c", ResultShape::kBoolean).has_value());
+  // "a" is memoized; "c" was dropped and plans again.
+  EXPECT_EQ(plan_of("a", ResultShape::kBoolean).cost, 1.0);
+  EXPECT_EQ(plan_of("c", ResultShape::kBoolean).cost, 4.0);
+  EXPECT_EQ(memo.size(), 2u);
   // Shape is part of the key.
-  EXPECT_FALSE(memo.Lookup("a", ResultShape::kCount).has_value());
+  EXPECT_EQ(plan_of("a", ResultShape::kCount).cost, 5.0);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 5u);
 }
 
 // ------------------------------------------------- regression: null store
@@ -646,12 +665,11 @@ TEST(NullStoreRegressionTest, DocumentJobsWithoutStoreAreInvalidArgument) {
 
 TEST(NullStoreRegressionTest, OverrideMustBeAdmissible) {
   Tree t = *Tree::ParseTerm("a(b)");
-  engine::QueryService service({.num_threads = 1});
   engine::QueryJob job;
-  job.tree = &t;
   job.query = "child::* except child::a";  // general: GKP inadmissible
-  job.engine_override = EnginePlan::kGkpPositive;
-  std::vector<engine::QueryResult> results = service.EvaluateBatch({job});
+  job.overrides.engine = EnginePlan::kGkpPositive;
+  std::vector<engine::QueryResult> results =
+      EvaluateOnFreshStore(t, {job}, /*threads=*/1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
 }

@@ -563,7 +563,7 @@ TEST(SpillTest, QueryLoadOverspillsCorpusStaysCorrectAndBounded) {
       ExpectResultsEqual(svc_unbounded.EvaluateBatch(jobs),
                          svc_bounded.EvaluateBatch(jobs));
     }
-    const auto stats = svc_bounded.stats();
+    const auto stats = bounded.stats();
     EXPECT_GT(stats.doc_spills, 0u);
     EXPECT_GT(stats.doc_reloads + stats.doc_reattaches, 0u);
   }

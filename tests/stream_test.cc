@@ -243,14 +243,18 @@ TEST(StreamTest, OpenStreamBlocksBatchAdmissionUntilClosed) {
   RandomTreeOptions opts;
   opts.num_nodes = 16;
   Tree t = RandomTree(rng, opts);
-  QueryService service({.num_threads = 1, .max_inflight_batches = 1});
+  DocumentStore store;
+  const DocumentId id = store.Insert(Tree(t));
+  QueryService service({.num_threads = 1,
+                        .document_store = &store,
+                        .max_inflight_batches = 1});
 
   Result<QueryStream> stream = service.OpenStream(t, "$x/child::*/$y");
   ASSERT_TRUE(stream.ok());
 
   std::vector<QueryJob> jobs(2);
   for (QueryJob& job : jobs) {
-    job.tree = &t;
+    job.document = id;
     job.query = "descendant::a";
   }
   Result<BatchHandle> handle = service.TrySubmit(jobs);
@@ -276,16 +280,20 @@ TEST(StreamTest, ServiceDestructionDrainsQueuedBatchDespiteOpenStream) {
   RandomTreeOptions opts;
   opts.num_nodes = 90;
   Tree t = RandomTree(rng, opts);
+  DocumentStore store;  // outlives the service and its queued batch
+  const DocumentId id = store.Insert(Tree(t));
   QueryStream stream;
   Result<BatchHandle> handle = Status::Internal("unset");
   {
-    QueryService service({.num_threads = 1, .max_inflight_batches = 1});
+    QueryService service({.num_threads = 1,
+                          .document_store = &store,
+                          .max_inflight_batches = 1});
     Result<QueryStream> opened = service.OpenStream(t, "$x/descendant::*/$y");
     ASSERT_TRUE(opened.ok());
     stream = std::move(*opened);
     ASSERT_TRUE(stream.NextBatch(3).ok());
     QueryJob job;
-    job.tree = &t;
+    job.document = id;
     job.query = "descendant::a";
     handle = service.TrySubmit({job});
     ASSERT_TRUE(handle.ok()) << handle.status();
@@ -425,12 +433,14 @@ TEST(StreamTest, RejectsTupleStreamShapeOnBatchJobs) {
   RandomTreeOptions opts;
   opts.num_nodes = 8;
   Tree t = RandomTree(rng, opts);
-  QueryService service({.num_threads = 1});
+  DocumentStore store;
+  const DocumentId id = store.Insert(Tree(t));
+  QueryService service({.num_threads = 1, .document_store = &store});
   QueryResult direct =
       service.Evaluate(t, "descendant::a/$x", ResultShape::kTupleStream);
   EXPECT_EQ(direct.status.code(), StatusCode::kInvalidArgument);
   QueryJob job;
-  job.tree = &t;
+  job.document = id;
   job.query = "descendant::a/$x";
   job.shape = ResultShape::kTupleStream;
   std::vector<QueryResult> results = service.EvaluateBatch({job});

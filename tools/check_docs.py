@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (run by the CI docs job and ctest).
 
-Two checks, so the docs/ subsystem cannot rot silently:
+Three checks, so the docs/ subsystem cannot rot silently:
 
 1. Every intra-repository markdown link in tracked *.md files resolves:
    the target file exists, and a #fragment (same-file or cross-file)
@@ -13,10 +13,14 @@ Two checks, so the docs/ subsystem cannot rot silently:
    plan-optimizer headers src/ppl/canonical.h and
    src/ppl/relation_cache.h) is mentioned in docs/ARCHITECTURE.md, so
    new public API cannot ship undocumented.
+3. Every flagged benchmark family -- the FLAGGED_SECTIONS list of
+   tools/bench_compare.py, read from that file rather than copied -- has
+   a row in the families table of bench/README.md.
 
-Exit code 0 iff both checks pass; failures are listed one per line.
+Exit code 0 iff all checks pass; failures are listed one per line.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -157,9 +161,39 @@ def check_architecture_coverage():
     ]
 
 
+def flagged_sections():
+    """FLAGGED_SECTIONS from tools/bench_compare.py, parsed, not executed."""
+    source = (REPO / "tools" / "bench_compare.py").read_text(encoding="utf-8")
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "FLAGGED_SECTIONS"):
+            return ast.literal_eval(node.value)
+    raise ValueError("tools/bench_compare.py defines no FLAGGED_SECTIONS")
+
+
+def check_bench_readme_rows():
+    readme = REPO / "bench" / "README.md"
+    if not readme.exists():
+        return ["bench/README.md does not exist"]
+    # The family cell is a table row's first cell; a family is named there
+    # in backticks, bare or followed by its /<args>.
+    first_cells = [line.split("|")[1]
+                   for line in readme.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("|") and line.count("|") >= 2]
+    return [
+        f"bench/README.md: flagged family '{family}' "
+        "(tools/bench_compare.py FLAGGED_SECTIONS) has no table row"
+        for family in flagged_sections()
+        if not any(re.search(rf"`{re.escape(family)}[/`]", cell)
+                   for cell in first_cells)
+    ]
+
+
 def main():
     md_files = tracked_markdown_files()
-    errors = check_links(md_files) + check_architecture_coverage()
+    errors = (check_links(md_files) + check_architecture_coverage() +
+              check_bench_readme_rows())
     for error in errors:
         print(f"FAIL: {error}")
     print(f"check_docs: {len(md_files)} markdown files, "
