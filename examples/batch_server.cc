@@ -38,8 +38,9 @@ namespace {
 using namespace xpv;
 
 const char* kQueryMix[] = {
-    // Positive PPLbin: GkpEngine (linear-time set images) or the sparse
-    // matrix engine, whichever the planner prices cheaper.
+    // Positive PPLbin: full relations on GkpEngine (one set image per
+    // source) or the sparse matrix engine, whichever the planner prices
+    // cheaper; monadic shapes on the matrix engine's image sweep.
     "descendant::book/child::author",
     "child::*[descendant::title]",
     "descendant::*[child::author]/following_sibling::*",

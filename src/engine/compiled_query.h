@@ -10,7 +10,8 @@
 //
 //   kGkpPositive   -- variable-free (N($x)) queries whose Fig. 4 image is a
 //                     positive PPLbin expression: the Gottlob-Koch-Pichler
-//                     successor-set engine, O(|P| |t|) per start node.
+//                     per-source full relation, O(|P| |t|) per start node
+//                     (monadic shapes run the matrix engine's image sweep).
 //   kMatrixGeneral -- any variable-free query (complement included): the
 //                     Section 4 Boolean-matrix engine, O(|P| |t|^3 / 64).
 //   kNaryAnswer    -- queries with free variables inside PPL: translated to

@@ -534,11 +534,11 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
     return plan;
   }
 
-  // Binary queries: the planner prices every admissible route -- GKP,
-  // matrix-dense and matrix-sparse -- and takes the cheapest. Monadic
-  // shapes take the row-restricted entry points of the winning engine. A
-  // kTupleStream plan on a binary query streams the monadic from-root
-  // node set as 1-tuples.
+  // Binary queries: the planner prices every admissible route -- GKP
+  // (full relations only), matrix-dense and matrix-sparse -- and takes
+  // the cheapest. Monadic shapes take the matrix engine's row-restricted
+  // image sweep. A kTupleStream plan on a binary query streams the
+  // monadic from-root node set as 1-tuples.
   if (shape == ResultShape::kTupleStream) {
     plan.backing = StreamBacking::kNodeSet;
   }
@@ -565,16 +565,17 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
   // the enforceable bound -- a genuinely dense instance trips
   // kResourceExhausted at the first over-budget merge. Under the ceiling
   // the sparse route must fit kSparseEvalByteBudget.
+  //
+  // GKP is a full-relation route only: a monadic shape takes the matrix
+  // engine's image sweep, which is GKP's per-source step itself. A
+  // forced GKP monadic plan runs that same sweep at the same cost.
   double gkp_raw = kInf;
   if (q.positive) {
-    // Monadic: both engines run the identical BitVector propagation on a
-    // positive query, so the costs tie and the tie-break below prefers
-    // GKP (it shares the filter-domain cache across calls).
     gkp_raw = monadic ? matrix_cost
                       : static_cast<double>(q.pplbin_size) * n *
                             (1.0 + DomainBound(*q.pplbin, tree));
   }
-  const double gkp_cost = !monadic && over_ceiling ? kInf : gkp_raw;
+  const double gkp_cost = monadic || over_ceiling ? kInf : gkp_raw;
   const double dense_cost = materializes && over_ceiling ? kInf : matrix_cost;
   double sparse_cost = kInf;
   if (materializes) {

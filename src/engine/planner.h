@@ -9,25 +9,26 @@
 // landscape, made quantitative:
 //
 //   route           full relation              monadic (row-restricted)
-//   kGkpPositive    O(|P| |t| |domain|)        O(|P| |t|)
-//   kMatrixGeneral  dense: O(|P| |t|^3 / 64)   O(|P| |t|) + one
-//                   sparse: O(runs merged)     sub-matrix per `except`
+//   kGkpPositive    O(|P| |t| |domain|)        -- (full relations only)
+//   kMatrixGeneral  dense: O(|P| |t|^3 / 64)   image sweep: O(|P| |t|)
+//                   sparse: O(runs merged)     + one sub-matrix per `except`
 //   kNaryAnswer     output-sensitive Section 7 machinery
 //
-// A binary query takes the cheapest admissible of three routes: GKP
+// A full relation takes the cheapest admissible of three routes: GKP
 // (positive queries only), matrix-dense, and matrix-sparse (when its
 // estimated peak fits kSparseEvalByteBudget). So a general-PPLbin query
 // on a small tree runs dense (one 64-bit word covers a whole row), and a
 // full relation on a large tree usually runs on the sparse run-list
 // kernels, whose cost follows the runs produced rather than |t|^2 --
 // GKP wins where its posting-list-bounded domain is the smaller bill.
-// Monadic shapes tie GKP with the matrix engine on positive queries and
-// go to GKP.
+// Every monadic binary plan is the matrix engine's row-restricted image
+// sweep: GKP's per-source loop is that sweep run once per start node, so
+// the planner does not price GKP for monadic shapes.
 //
 // The *result shape* says what the caller actually consumes. Callers who
 // only need the nodes reachable from the root -- the overwhelmingly
 // common serving workload -- get a monadic fast path that propagates a
-// single BitVector through every engine instead of materializing the
+// single BitVector through the expression instead of materializing the
 // O(|t|^2) relation:
 //
 //   shape           binary (PPLbin) payload        n-ary payload
@@ -100,9 +101,11 @@ std::string_view StreamBackingName(StreamBacking backing);
 struct ExecutionPlan {
   EnginePlan engine = EnginePlan::kMatrixGeneral;
   ResultShape shape = ResultShape::kFullRelation;
-  /// Monadic fast path: the engine propagates a single BitVector
-  /// (GkpEngine::EvaluateFromNode / MatrixEngine::EvaluateFromRoot)
-  /// instead of materializing the O(|t|^2) relation.
+  /// Monadic fast path: MatrixEngine::EvaluateFromRoot propagates a
+  /// single BitVector instead of materializing the O(|t|^2) relation.
+  /// Set on every monadic binary plan; the planner always names
+  /// kMatrixGeneral for them, and a forced kGkpPositive plan runs the
+  /// same sweep.
   bool row_restricted = false;
   /// kTupleStream plans only: how the stream produces tuples.
   StreamBacking backing = StreamBacking::kNone;
@@ -138,7 +141,7 @@ struct ExecutionPlan {
   /// -- the reassociated expression by structure, not pointer.
   bool operator==(const ExecutionPlan& other) const;
 
-  /// E.g. "gkp-positive/from-root-set row-restricted cost=1.2e3 alt=5e6".
+  /// E.g. "matrix-general/from-root-set row-restricted cost=1.2e3 alt=0".
   std::string DebugString() const;
 };
 

@@ -276,15 +276,8 @@ QueryResult QueryService::RunJob(
     case EnginePlan::kGkpPositive: {
       ppl::GkpEngine engine(target.cache);
       engine.set_relation_cache(target.relations);
-      Result<BitMatrix> rel = engine.Relation(*q.pplbin);
-      if (engine.subrel_hits() != 0) {
-        subrel_hits_.fetch_add(engine.subrel_hits(),
-                               std::memory_order_relaxed);
-      }
-      if (engine.subrel_misses() != 0) {
-        subrel_misses_.fetch_add(engine.subrel_misses(),
-                                 std::memory_order_relaxed);
-      }
+      Result<BitMatrix> rel = engine.Relation(*q.pplbin, cancel);
+      AccumulateEngineStats(engine.stats());
       if (!rel.ok()) {
         result.status = rel.status();
         return result;
@@ -463,8 +456,9 @@ void QueryService::RunOne(BatchState& run, std::size_t i) {
     return;
   }
   // Started jobs carry the batch's cancel token into the engine, so a
-  // long-running n-ary job stops mid-run instead of running to
-  // completion; attribute the slot to the counter matching its outcome.
+  // long-running n-ary or GKP full-relation job stops mid-run instead of
+  // running to completion; attribute the slot to the counter matching its
+  // outcome.
   const CancelToken token(&run.cancelled, run.deadline);
   const Result<std::shared_ptr<const CompiledQuery>>* precompiled =
       i < run.compiled.size() && run.compiled[i].has_value()

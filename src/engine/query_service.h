@@ -7,10 +7,11 @@
 //   1. compiles each distinct query text once (QueryCache) into a
 //      tree-independent CompiledQuery recording every admissible engine,
 //   2. plans each job per (compiled query, tree, result shape) with the
-//      cost-based planner (engine/planner.h), choosing GkpEngine,
-//      MatrixEngine, or the Section 7 answer machinery from Tree::Stats
-//      and taking the monadic row-restricted fast path when the caller
-//      only consumes a node set / boolean / count,
+//      cost-based planner (engine/planner.h), choosing GkpEngine (full
+//      relations), MatrixEngine, or the Section 7 answer machinery from
+//      Tree::Stats and taking the matrix engine's monadic row-restricted
+//      fast path when the caller only consumes a node set / boolean /
+//      count,
 //   3. executes jobs across a fixed thread pool with a *shard-aware*
 //      scheduler: jobs are grouped by the DocumentStore shard their
 //      document resides in, each worker drains "its" shard group first
@@ -35,8 +36,9 @@
 // cancelled through its BatchHandle; both are checked between jobs -- a
 // job observed after the deadline/cancellation reports
 // kDeadlineExceeded/kCancelled without running -- AND inside long-running
-// n-ary jobs, whose evaluation observes the batch's CancelToken between
-// recursion steps and stops cooperatively with the same statuses. An
+// n-ary jobs and GKP full relations, whose evaluation observes the batch's
+// CancelToken between recursion steps (n-ary) or source rows (GKP) and
+// stops cooperatively with the same statuses. An
 // accepted batch is never dropped: even service destruction drains the
 // queue first. ServiceStats snapshots the queued/running/completed/
 // rejected counters plus the store's per-shard cache hit rates for
@@ -116,9 +118,10 @@ struct QueryResult {
   /// Non-OK when the query failed to compile (syntax / fragment), the job
   /// was malformed, or the job was skipped by admission control:
   /// kDeadlineExceeded / kCancelled mark jobs whose batch deadline passed
-  /// or was cancelled before the job started (such jobs never run; jobs
-  /// already running always finish with their real result). Engine fields
-  /// are empty whenever status is non-OK.
+  /// or was cancelled before the job started (such jobs never run), or
+  /// mid-run for the engines that observe the batch's CancelToken (n-ary
+  /// answering and GKP full relations). Engine fields are empty whenever
+  /// status is non-OK.
   Status status;
   /// The planner's decision that produced this result (valid when status
   /// is OK): engine, shape, row restriction, estimated costs.
@@ -192,7 +195,9 @@ class BatchHandle {
   /// submitted jobs[i]. Moves the results out of the handle.
   std::vector<QueryResult> Wait();
   /// Requests cancellation: jobs not yet started report kCancelled; jobs
-  /// already running finish normally. Idempotent; never blocks.
+  /// already running stop at their engine's next cancellation check
+  /// (n-ary answering, GKP full relations) or finish normally.
+  /// Idempotent; never blocks.
   void Cancel();
 
  private:

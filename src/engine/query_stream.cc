@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "hcl/answer.h"
-#include "ppl/gkp_engine.h"
 #include "ppl/matrix_engine.h"
 
 namespace xpv::engine {
@@ -15,11 +14,6 @@ Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
                                    const ExecutionPlan& plan,
                                    const JobTarget& target,
                                    ppl::MatrixEngineStats* stats) {
-  if (plan.engine == EnginePlan::kGkpPositive) {
-    ppl::GkpEngine engine(target.cache);
-    engine.set_relation_cache(target.relations);
-    return engine.FromRoot(*q.pplbin);
-  }
   ppl::MatrixEngine engine(target.cache, ppl::MultiplyMode::kBitPacked,
                            plan.repr);
   engine.set_relation_cache(target.relations);

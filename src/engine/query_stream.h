@@ -201,10 +201,11 @@ struct JobTarget {
   std::shared_ptr<ppl::RelationCache> relations;
 };
 
-/// The monadic from-root node set of a row-restricted binary plan: GKP's
-/// FromRoot, or the matrix engine's EvaluateFromRoot on the plan's
-/// reassociated expression. `stats` (nullable) receives the matrix
-/// engine's kernel counters on every return path.
+/// The monadic from-root node set of a row-restricted binary plan: the
+/// matrix engine's image sweep on the plan's reassociated expression,
+/// whichever engine the plan names (a forced GKP plan is positive, and
+/// GKP's own FromRoot is this same sweep). `stats` (nullable) receives
+/// the engine's kernel counters on every return path.
 Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
                                    const ExecutionPlan& plan,
                                    const JobTarget& target,

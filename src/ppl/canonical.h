@@ -19,8 +19,8 @@
 // Canonicalization is semantics-preserving (every engine computes the
 // same relation on the canonicalized expression, byte-identically) and
 // idempotent. CompileQuery canonicalizes every binary query once, so
-// all downstream keys -- PlanMemo entries, GkpEngine domain-cache keys,
-// RelationCache subexpression keys -- agree across syntactic variants
+// all downstream keys -- PlanMemo entries, MatrixEngine filter-domain
+// keys, RelationCache subexpression keys -- agree across syntactic variants
 // of one query.
 #ifndef XPV_PPL_CANONICAL_H_
 #define XPV_PPL_CANONICAL_H_
@@ -38,8 +38,8 @@ PplBinPtr Canonicalize(PplBinPtr p);
 
 /// The canonical surface text of `p`: Canonicalize(p.Clone())->ToString().
 /// Round-trips through the PPLbin grammar; equal canonical texts imply
-/// equal relations on every tree. This is the key the RelationCache and
-/// the GkpEngine domain cache are built on.
+/// equal relations on every tree. This is the key the RelationCache is
+/// built on.
 std::string CanonicalText(const PplBinExpr& p);
 
 }  // namespace xpv::ppl

@@ -1,6 +1,6 @@
 #include "ppl/gkp_engine.h"
 
-#include <cassert>
+#include <string>
 #include <utility>
 
 #include "ppl/relation_cache.h"
@@ -9,105 +9,18 @@ namespace xpv::ppl {
 
 namespace {
 
-/// Syntactic reversal: Reverse(P) denotes the inverse relation of P.
-///   Reverse(A::N)    = self::N / A^{-1}::*   (label moves to the source)
-///   Reverse(P1/P2)   = Reverse(P2)/Reverse(P1)
-///   Reverse(P1 u P2) = Reverse(P1) u Reverse(P2)
-///   Reverse([P])     = [P]                   (partial identities are
-///                                             symmetric)
-PplBinPtr Reverse(const PplBinExpr& p) {
-  switch (p.kind) {
-    case PplBinKind::kStep: {
-      PplBinPtr label_filter = PplBinExpr::Step(
-          Axis::kSelf, p.name_test.empty() ? "*" : p.name_test);
-      if (p.axis == Axis::kSelf) return label_filter;
-      return PplBinExpr::Compose(std::move(label_filter),
-                                 PplBinExpr::Step(InverseAxis(p.axis), "*"));
-    }
-    case PplBinKind::kCompose:
-      return PplBinExpr::Compose(Reverse(*p.right), Reverse(*p.left));
-    case PplBinKind::kUnion:
-      return PplBinExpr::Union(Reverse(*p.left), Reverse(*p.right));
-    case PplBinKind::kFilter:
-      return p.Clone();
-    case PplBinKind::kComplement:
-      assert(false && "Reverse() requires a positive expression");
-      return nullptr;
-  }
-  return nullptr;
+Status RejectComplement(const PplBinExpr& p) {
+  if (p.IsPositive()) return Status::OK();
+  return Status::FragmentViolation(
+      "GkpEngine evaluates the positive fragment only; '" + p.ToString() +
+      "' contains except");
 }
 
 }  // namespace
 
-BitVector GkpEngine::ImagePositive(const PplBinExpr& p,
-                                   const BitVector& from) {
-  switch (p.kind) {
-    case PplBinKind::kStep: {
-      BitVector out = AxisImage(tree_, p.axis, from);
-      if (!p.name_test.empty()) out.AndWith(cache_->Labels(p.name_test));
-      return out;
-    }
-    case PplBinKind::kCompose: {
-      BitVector mid = ImagePositive(*p.left, from);
-      return ImagePositive(*p.right, mid);
-    }
-    case PplBinKind::kUnion: {
-      BitVector out = ImagePositive(*p.left, from);
-      out.OrWith(ImagePositive(*p.right, from));
-      return out;
-    }
-    case PplBinKind::kFilter: {
-      // S_{[P]}(N) = N  intersect  domain(P).
-      std::string key = p.left->ToString();
-      auto it = domain_cache_.find(key);
-      if (it == domain_cache_.end()) {
-        PplBinPtr reversed = Reverse(*p.left);
-        BitVector all(tree_.size());
-        all.Fill();
-        BitVector domain = ImagePositive(*reversed, all);
-        it = domain_cache_.emplace(std::move(key), std::move(domain)).first;
-      }
-      BitVector out = from;
-      out.AndWith(it->second);
-      return out;
-    }
-    case PplBinKind::kComplement:
-      assert(false && "positive fragment only");
-      return BitVector(tree_.size());
-  }
-  return BitVector(tree_.size());
-}
-
-Result<BitVector> GkpEngine::Image(const PplBinExpr& p,
-                                   const BitVector& from) {
-  if (!p.IsPositive()) {
-    return Status::FragmentViolation(
-        "GkpEngine evaluates the positive fragment only; '" + p.ToString() +
-        "' contains except");
-  }
-  return ImagePositive(p, from);
-}
-
-BitVector GkpEngine::DomainPositive(const PplBinExpr& p) {
-  PplBinPtr reversed = Reverse(p);
-  BitVector all(tree_.size());
-  all.Fill();
-  return ImagePositive(*reversed, all);
-}
-
-Result<BitVector> GkpEngine::Domain(const PplBinExpr& p) {
-  if (!p.IsPositive()) {
-    return Status::FragmentViolation(
-        "GkpEngine evaluates the positive fragment only");
-  }
-  return DomainPositive(p);
-}
-
-Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p) {
-  if (!p.IsPositive()) {
-    return Status::FragmentViolation(
-        "GkpEngine evaluates the positive fragment only");
-  }
+Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p,
+                                      CancelToken cancel) {
+  XPV_RETURN_IF_ERROR(RejectComplement(p));
   // Whole-relation memoization under this engine's own tag: the image
   // loop is a deterministic pure function of (tree, expression), so a
   // cached relation is the exact matrix the loop below would rebuild.
@@ -118,21 +31,24 @@ Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p) {
   if (rel_cache_ != nullptr) {
     key = RelationKey(p.ToString(), "gkp");
     if (std::shared_ptr<const AnyMatrix> hit = rel_cache_->Get(key)) {
-      ++subrel_hits_;
+      ++stats_.subrel_hits;
       return hit->dense();
     }
-    ++subrel_misses_;
+    ++stats_.subrel_misses;
   }
   // Rows outside domain(P) are empty by definition, so one O(|P| |t|)
-  // reversal image bounds the loop; selective leading labels shrink it.
-  BitVector domain = DomainPositive(p);
-  BitMatrix out(tree_.size());
-  BitVector from(tree_.size());
-  domain.ForEachSet([&](std::size_t u) {
+  // preimage sweep bounds the loop; selective leading labels shrink it.
+  XPV_ASSIGN_OR_RETURN(BitVector domain, images_.Domain(p));
+  const std::size_t n = images_.tree().size();
+  BitMatrix out(n);
+  BitVector from(n);
+  for (std::size_t u = domain.FirstSet(); u < n; u = domain.NextSet(u + 1)) {
+    XPV_RETURN_IF_ERROR(cancel.Check());
     from.Clear();
     from.Set(u);
-    out.OrIntoRow(u, ImagePositive(p, from));
-  });
+    XPV_ASSIGN_OR_RETURN(BitVector row, images_.Image(p, from));
+    out.OrIntoRow(u, row);
+  }
   // Copy into a shared payload only when the cache will keep it: an
   // oversize relation would be copied just to be rejected.
   if (rel_cache_ != nullptr && rel_cache_->Admits(key, out.resident_bytes())) {
@@ -141,14 +57,9 @@ Result<BitMatrix> GkpEngine::Relation(const PplBinExpr& p) {
   return out;
 }
 
-Result<BitVector> GkpEngine::EvaluateFromNode(const PplBinExpr& p, NodeId u) {
-  BitVector from(tree_.size());
-  from.Set(u);
-  return Image(p, from);
-}
-
 Result<BitVector> GkpEngine::FromRoot(const PplBinExpr& p) {
-  return EvaluateFromNode(p, tree_.root());
+  XPV_RETURN_IF_ERROR(RejectComplement(p));
+  return images_.EvaluateFromRoot(p);
 }
 
 }  // namespace xpv::ppl

@@ -1,28 +1,26 @@
-// Successor-set evaluation for the positive (complement-free) fragment of
-// PPLbin -- "the main evaluation trick of Core XPath 1.0" recalled in
-// Section 4 of the paper (Gottlob, Koch, Pichler): the image
-// S_P(N) = { u' | exists u in N, (u, u') in [[P]] } of a node set N is
-// computable in O(|P| |t|) time, because each axis image is linear and
-// filter tests reduce to domain computations via path reversal.
-//
-// This yields:
-//   * monadic queries from the root in O(|P| |t|),
-//   * the full binary relation in O(|P| |t|^2) (one image per start node),
-// which the E10 benchmark contrasts with the O(|P| |t|^3 / 64) matrix
-// engine. The paper points out exactly this asymmetry: "it is not clear
+// The full binary relation of a positive (complement-free) PPLbin
+// expression by the Gottlob-Koch-Pichler successor-set trick recalled in
+// Section 4 of the paper: the image S_P(N) of a node set N is computable
+// in O(|P| |t|), so one image per start node yields [[P]] in
+// O(|P| |t|^2). The paper points out the asymmetry: "it is not clear
 // whether this trick can be used for evaluating PPLbin, since the except
 // operator can occur at any position" -- hence the matrix algorithm for
-// the full language, and this engine for its positive part.
+// the full language, and this per-source loop for its positive part.
+//
+// The images themselves come from MatrixEngine's row-restricted sweep
+// (ppl/matrix_engine.h), the system's one set-image evaluator; monadic
+// queries take that sweep directly. GKP is a full-relation route only:
+// this engine adds the per-source loop over domain(P) and a whole-relation
+// RelationCache consult under its own "gkp" tag.
 #ifndef XPV_PPL_GKP_ENGINE_H_
 #define XPV_PPL_GKP_ENGINE_H_
 
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
 
 #include "common/bit_matrix.h"
+#include "common/cancel.h"
 #include "common/status.h"
+#include "ppl/matrix_engine.h"
 #include "ppl/pplbin.h"
 #include "tree/axis_cache.h"
 #include "tree/tree.h"
@@ -31,12 +29,12 @@ namespace xpv::ppl {
 
 class RelationCache;
 
-/// Linear-time set-image evaluator for positive PPLbin expressions.
-/// Domain sets of filter subexpressions are cached across Image() calls,
-/// so evaluating the full binary relation costs O(|P| |t|^2) overall.
-/// Label sets come from an AxisCache: private by default, or shared with
-/// other engines and jobs on the same tree when one is supplied (this
-/// engine never materializes axis matrices -- it only shares label sets).
+/// Section 4 per-source full-relation evaluator for positive PPLbin.
+/// Label sets and filter domains are shared across the loop's images, so
+/// the full relation costs O(|P| |t| |domain(P)|) overall. Label sets come
+/// from an AxisCache: private by default, or shared with other engines and
+/// jobs on the same tree when one is supplied (the positive image sweep
+/// never materializes axis matrices -- it only shares label sets).
 class GkpEngine {
  public:
   explicit GkpEngine(const Tree& tree)
@@ -44,7 +42,7 @@ class GkpEngine {
 
   /// Shares the given per-tree cache (label sets only).
   explicit GkpEngine(std::shared_ptr<AxisCache> cache)
-      : tree_(cache->tree()), cache_(std::move(cache)) {}
+      : images_(std::move(cache)) {}
 
   /// Attaches a shared subrelation cache (ppl/relation_cache.h):
   /// Relation() consults it for the whole expression under this engine's
@@ -54,45 +52,29 @@ class GkpEngine {
     rel_cache_ = std::move(cache);
   }
 
-  /// Shared-cache consults performed by Relation(), mirroring
-  /// MatrixEngineStats::subrel_hits / subrel_misses for aggregation into
-  /// ServiceStats.
-  std::uint64_t subrel_hits() const { return subrel_hits_; }
-  std::uint64_t subrel_misses() const { return subrel_misses_; }
-
-  /// S_P(N). Fails with FragmentViolation if P contains `except`.
-  Result<BitVector> Image(const PplBinExpr& p, const BitVector& from);
-
-  /// domain(P) = { u | exists u': (u, u') in [[P]] }, via reversal.
-  Result<BitVector> Domain(const PplBinExpr& p);
+  /// Shared-cache consults performed by Relation() (subrel_hits and
+  /// subrel_misses; the product counters stay 0), in the matrix engine's
+  /// stats type so QueryService folds both engines the same way.
+  const MatrixEngineStats& stats() const { return stats_; }
 
   /// The full relation [[P]]. Rows outside domain(P) are empty, so the
   /// per-start-node image loop runs only over the domain -- computed
-  /// first via one reversal image, O(|P| |t|). Label-selective queries
+  /// first by one preimage sweep, O(|P| |t|). Label-selective queries
   /// (small domains) pay O(|P| |t| |domain|) instead of O(|P| |t|^2).
-  Result<BitMatrix> Relation(const PplBinExpr& p);
+  /// Fails with FragmentViolation if P contains `except`, and with
+  /// kCancelled / kDeadlineExceeded once `cancel` fires (checked once per
+  /// source row).
+  Result<BitMatrix> Relation(const PplBinExpr& p, CancelToken cancel = {});
 
-  /// Monadic query from one start node: S_P({u}), O(|P| |t|).
-  Result<BitVector> EvaluateFromNode(const PplBinExpr& p, NodeId u);
-  /// Monadic query from the root.
+  /// Monadic query from the root: S_P({root}), O(|P| |t|) -- the matrix
+  /// engine's image sweep. Fails with FragmentViolation if P contains
+  /// `except`.
   Result<BitVector> FromRoot(const PplBinExpr& p);
 
  private:
-  BitVector ImagePositive(const PplBinExpr& p, const BitVector& from);
-  /// domain(P) by reversal; requires P positive (checked by callers).
-  BitVector DomainPositive(const PplBinExpr& p);
-
-  const Tree& tree_;
-  std::shared_ptr<AxisCache> cache_;
+  MatrixEngine images_;
   std::shared_ptr<RelationCache> rel_cache_;
-  std::uint64_t subrel_hits_ = 0;
-  std::uint64_t subrel_misses_ = 0;
-  // Domain cache keyed by the filter subexpression's surface text.
-  // ToString round-trips, so equal keys mean equal expressions; pointer
-  // keys would dangle across calls (expressions -- including the
-  // temporaries built by syntactic reversal -- die while the engine
-  // lives, and the allocator reuses their addresses).
-  std::map<std::string, BitVector> domain_cache_;
+  MatrixEngineStats stats_;
 };
 
 }  // namespace xpv::ppl

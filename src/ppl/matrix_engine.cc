@@ -281,9 +281,9 @@ Result<BitVector> MatrixEngine::Image(const PplBinExpr& p,
       return out;
     }
     case PplBinKind::kFilter: {
-      XPV_ASSIGN_OR_RETURN(BitVector domain, Domain(*p.left));
+      XPV_ASSIGN_OR_RETURN(const BitVector* domain, FilterDomain(*p.left));
       BitVector out = from;
-      out.AndWith(domain);
+      out.AndWith(*domain);
       return out;
     }
     case PplBinKind::kComplement: {
@@ -337,9 +337,9 @@ Result<BitVector> MatrixEngine::Preimage(const PplBinExpr& p,
       return out;
     }
     case PplBinKind::kFilter: {
-      XPV_ASSIGN_OR_RETURN(BitVector domain, Domain(*p.left));
+      XPV_ASSIGN_OR_RETURN(const BitVector* domain, FilterDomain(*p.left));
       BitVector out = to;
-      out.AndWith(domain);
+      out.AndWith(*domain);
       return out;
     }
     case PplBinKind::kComplement: {
@@ -375,6 +375,16 @@ Result<BitVector> MatrixEngine::Domain(const PplBinExpr& p) {
   BitVector all(tree_.size());
   all.Fill();
   return Preimage(p, all);
+}
+
+Result<const BitVector*> MatrixEngine::FilterDomain(const PplBinExpr& body) {
+  std::string key = body.ToString();
+  auto it = domain_cache_.find(key);
+  if (it == domain_cache_.end()) {
+    XPV_ASSIGN_OR_RETURN(BitVector domain, Domain(body));
+    it = domain_cache_.emplace(std::move(key), std::move(domain)).first;
+  }
+  return &it->second;
 }
 
 Result<BitVector> MatrixEngine::EvaluateFromNode(const PplBinExpr& p,

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <variant>
 
 #include "common/bit_matrix.h"
@@ -164,11 +165,16 @@ class MatrixEngine {
   BitMatrix Evaluate(const PplBinExpr& p);
 
   // ------------------------------------------------------------------
-  // Row-restricted (monadic) entry points. When a caller only consumes a
-  // node set -- not the full O(|t|^2) relation -- the evaluation
-  // propagates a single BitVector through the expression, Gottlob-Koch-
-  // Pichler style, and falls back to materialized sub-matrices only
-  // underneath `except`:
+  // Row-restricted (monadic) entry points -- the system's one set-image
+  // evaluator. When a caller only consumes a node set -- not the full
+  // O(|t|^2) relation -- the evaluation propagates a single BitVector
+  // through the expression, Gottlob-Koch-Pichler style (Section 4), and
+  // falls back to materialized sub-matrices only underneath `except`.
+  // A filter [Q] intersects with domain(Q), which each engine computes
+  // once per distinct Q and reuses across calls, so GkpEngine's
+  // per-source full-relation loop (ppl/gkp_engine.h) pays for each
+  // filter domain once, not once per source. On the positive fragment
+  // images cost O(|P| |t|); under `except`:
   //
   //   image(not Q, N)    = not AndOfRows(M_Q, N)
   //   preimage(not Q, N) = not RowsContaining(M_Q, N)
@@ -204,6 +210,10 @@ class MatrixEngine {
   /// surface texts, their occurrence counts, and the local memo.
   struct EvalContext;
 
+  /// domain(Q) for a filter body Q, from domain_cache_ or computed and
+  /// stored there. The pointer stays valid for the engine's lifetime.
+  Result<const BitVector*> FilterDomain(const PplBinExpr& body);
+
   /// The recursive evaluation body behind EvaluateAny: local memo for
   /// duplicated subtrees, shared RelationCache consult for interior
   /// nodes, then the kernel dispatch below.
@@ -231,6 +241,11 @@ class MatrixEngine {
   std::shared_ptr<AxisCache> cache_;
   std::shared_ptr<RelationCache> rel_cache_;
   MatrixEngineStats stats_;
+  // Filter domains keyed by the filter body's surface text. ToString
+  // round-trips, so equal keys mean equal expressions; pointer keys would
+  // dangle across calls (expressions die while the engine lives, and the
+  // allocator reuses their addresses).
+  std::unordered_map<std::string, BitVector> domain_cache_;
 };
 
 }  // namespace xpv::ppl

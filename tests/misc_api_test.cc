@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
-#include "ppl/gkp_engine.h"
+#include "ppl/matrix_engine.h"
 #include "tree/binary_encoding.h"
 #include "tree/generators.h"
 #include "xpath/parser.h"
@@ -107,17 +107,17 @@ TEST(RestaurantAttributeNameTest, NamedThenNumbered) {
   EXPECT_EQ(RestaurantAttributeName(12), "attr12");
 }
 
-TEST(GkpDomainTest, EmptyAndFullDomains) {
+TEST(MatrixDomainTest, EmptyAndFullDomains) {
   Result<Tree> t = Tree::ParseTerm("a(b(c),d)");
   ASSERT_TRUE(t.ok());
-  ppl::GkpEngine gkp(*t);
+  ppl::MatrixEngine matrix(*t);
   // Domain of child::zzz is empty.
   Result<BitVector> none =
-      gkp.Domain(*ppl::PplBinExpr::Step(Axis::kChild, "zzz"));
+      matrix.Domain(*ppl::PplBinExpr::Step(Axis::kChild, "zzz"));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->None());
   // Domain of self::* is everything.
-  Result<BitVector> all = gkp.Domain(*ppl::PplBinExpr::Self());
+  Result<BitVector> all = matrix.Domain(*ppl::PplBinExpr::Self());
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->Count(), t->size());
 }

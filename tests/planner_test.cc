@@ -145,7 +145,7 @@ TEST_P(PlannerDifferentialTest, MatrixImagePreimageDomainMatchRelation) {
   }
 }
 
-TEST_P(PlannerDifferentialTest, GkpFromNodeMatchesRelationRows) {
+TEST_P(PlannerDifferentialTest, GkpRelationRowsMatchFromNodeImages) {
   Rng rng(GetParam() ^ 0x5eed);
   for (int trial = 0; trial < 20; ++trial) {
     Tree t = MakeRandomTree(rng);
@@ -157,12 +157,14 @@ TEST_P(PlannerDifferentialTest, GkpFromNodeMatchesRelationRows) {
     ASSERT_TRUE(rel.ok()) << rel.status();
     EXPECT_EQ(*rel, truth) << "query: " << p->ToString();
     const NodeId u = static_cast<NodeId>(rng.Below(t.size()));
-    Result<BitVector> image = gkp.EvaluateFromNode(*p, u);
+    ppl::MatrixEngine matrix(t);
+    Result<BitVector> image = matrix.EvaluateFromNode(*p, u);
     ASSERT_TRUE(image.ok()) << image.status();
     EXPECT_EQ(*image, truth.Row(u))
         << "query: " << p->ToString() << " node " << u;
-    ppl::MatrixEngine matrix(t);
-    EXPECT_EQ(matrix.EvaluateFromNode(*p, u).value(), truth.Row(u));
+    Result<BitVector> from_root = gkp.FromRoot(*p);
+    ASSERT_TRUE(from_root.ok()) << from_root.status();
+    EXPECT_EQ(*from_root, truth.Row(t.root())) << "query: " << p->ToString();
   }
 }
 
@@ -324,7 +326,8 @@ TEST(PlannerReprOverrideTest, NaryQueriesRejectReprOverrides) {
 
 // Full relations above the dense ceiling: the sparse crossover must hand
 // back a run-list relation whose rows match an independent oracle -- the
-// GKP engine's posting-list evaluation, which shares no matrix code.
+// row-restricted image sweep, which shares no code with the sparse
+// product kernels.
 TEST(SparseFullRelationTest, OversizedTreeMatchesSubsampledOracleRows) {
   Rng rng(404);
   RandomTreeOptions opts;
@@ -346,10 +349,10 @@ TEST(SparseFullRelationTest, OversizedTreeMatchesSubsampledOracleRows) {
 
   auto compiled = engine::CompileQuery(text);
   ASSERT_TRUE(compiled.ok());
-  ppl::GkpEngine gkp(t);
+  ppl::MatrixEngine sweep(t);
   for (int sample = 0; sample < 16; ++sample) {
     const NodeId u = static_cast<NodeId>(rng.Below(t.size()));
-    Result<BitVector> row = gkp.EvaluateFromNode(*(*compiled)->pplbin, u);
+    Result<BitVector> row = sweep.EvaluateFromNode(*(*compiled)->pplbin, u);
     ASSERT_TRUE(row.ok()) << row.status();
     EXPECT_EQ(full.relation_sparse->Row(u), *row) << "row " << u;
   }
@@ -365,8 +368,8 @@ TEST(SparseFullRelationTest, OversizedTreeMatchesSubsampledOracleRows) {
   ASSERT_TRUE(desc.ok() && child.ok());
   for (int sample = 0; sample < 8; ++sample) {
     const NodeId u = static_cast<NodeId>(rng.Below(t.size()));
-    Result<BitVector> d = gkp.EvaluateFromNode(*(*desc)->pplbin, u);
-    Result<BitVector> c = gkp.EvaluateFromNode(*(*child)->pplbin, u);
+    Result<BitVector> d = sweep.EvaluateFromNode(*(*desc)->pplbin, u);
+    Result<BitVector> c = sweep.EvaluateFromNode(*(*child)->pplbin, u);
     ASSERT_TRUE(d.ok() && c.ok());
     BitVector expected(t.size());
     for (std::size_t v = 0; v < t.size(); ++v) {
@@ -529,22 +532,50 @@ TEST(PlannerCostModelTest, LargeFullRelationTakesTheSparseRoute) {
   EXPECT_EQ(results[0].from_root, results[1].from_root);
 }
 
-TEST(PlannerCostModelTest, MonadicPositiveTiesGoToGkp) {
-  // Both engines run the same vector propagation on a positive query, so
-  // every monadic shape takes GKP's row-restricted path at any size.
-  auto compiled = engine::CompileQuery("descendant::*/child::*");
-  ASSERT_TRUE(compiled.ok());
+/// True when `p` has a complement over a non-step operand: the one
+/// monadic shape whose sweep materializes a sub-matrix.
+bool HasNonStepComplement(const ppl::PplBinExpr& p) {
+  if (p.kind == ppl::PplBinKind::kComplement &&
+      p.left->kind != ppl::PplBinKind::kStep) {
+    return true;
+  }
+  return (p.left != nullptr && HasNonStepComplement(*p.left)) ||
+         (p.right != nullptr && HasNonStepComplement(*p.right));
+}
+
+TEST(PlannerCostModelTest, MonadicPlansTakeTheMatrixImageSweep) {
+  // GKP is a full-relation route only: every monadic binary plan, positive
+  // or not, is the matrix engine's row-restricted sweep at any size, with
+  // no rejected route to report. The one exception to alternative 0 is a
+  // complement over a non-step operand, whose sub-matrix has a dense and
+  // a sparse representation to choose between.
   Rng rng(21);
-  for (std::size_t nodes : {16u, 1500u}) {
+  for (std::size_t nodes : {16u, 1500u, 40000u}) {
     RandomTreeOptions opts;
     opts.num_nodes = nodes;
     Tree t = RandomTree(rng, opts);
-    ExecutionPlan monadic =
-        engine::PlanQuery(**compiled, t, ResultShape::kFromRootSet);
-    EXPECT_TRUE(monadic.row_restricted);
-    EXPECT_EQ(monadic.engine, EnginePlan::kGkpPositive)
-        << monadic.DebugString();
-    EXPECT_EQ(monadic.cost, monadic.alternative_cost);
+    std::vector<std::string> texts = {"descendant::*/child::*",
+                                      "descendant::a[child::b]",
+                                      "descendant::* except child::b"};
+    for (int trial = 0; trial < 12; ++trial) {
+      texts.push_back(
+          ppl::ToXPath(*RandomPplBin(rng, 3, trial % 2 == 1))->ToString());
+    }
+    for (const std::string& text : texts) {
+      auto compiled = engine::CompileQuery(text);
+      ASSERT_TRUE(compiled.ok()) << text << ": " << compiled.status();
+      const bool sub_matrix = HasNonStepComplement(*(*compiled)->pplbin);
+      for (ResultShape shape : {ResultShape::kFromRootSet,
+                                ResultShape::kBoolean, ResultShape::kCount,
+                                ResultShape::kTupleStream}) {
+        const ExecutionPlan plan = engine::PlanQuery(**compiled, t, shape);
+        const std::string ctx = plan.DebugString() + " on " +
+                                std::to_string(nodes) + " nodes: " + text;
+        EXPECT_EQ(plan.engine, EnginePlan::kMatrixGeneral) << ctx;
+        EXPECT_TRUE(plan.row_restricted) << ctx;
+        if (!sub_matrix) EXPECT_EQ(plan.alternative_cost, 0.0) << ctx;
+      }
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 // Tests for PPLbin (Section 4): the Fig. 3 AST, the Fig. 4 translation
-// from variable-free Core XPath 2.0, the Boolean-matrix engine (Theorem 2),
-// and the GKP successor-set engine for the positive fragment.
+// from variable-free Core XPath 2.0, the Boolean-matrix engine (Theorem 2)
+// with its row-restricted image sweep, and the GKP per-source full
+// relation for the positive fragment.
+#include <atomic>
+#include <chrono>
+
 #include <gtest/gtest.h>
 
 #include "ppl/gkp_engine.h"
@@ -245,10 +249,77 @@ TEST(GkpEngineTest, RejectsComplement) {
   Tree t = MustTree("a(b)");
   GkpEngine gkp(t);
   PplBinPtr p = PplBinExpr::Complement(PplBinExpr::Self());
+  EXPECT_EQ(gkp.Relation(*p).status().code(), StatusCode::kFragmentViolation);
+  EXPECT_EQ(gkp.FromRoot(*p).status().code(), StatusCode::kFragmentViolation);
+  // The image sweep itself takes complements: images and domains of the
+  // expression GKP refuses still match its relation's rows.
+  MatrixEngine matrix(t);
+  const BitMatrix truth = matrix.Evaluate(*p);
   BitVector from(t.size());
-  EXPECT_FALSE(gkp.Image(*p, from).ok());
-  EXPECT_FALSE(gkp.Relation(*p).ok());
-  EXPECT_FALSE(gkp.Domain(*p).ok());
+  from.Set(t.root());
+  Result<BitVector> image = matrix.Image(*p, from);
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_EQ(*image, truth.ImageOf(from));
+  Result<BitVector> domain = matrix.Domain(*p);
+  ASSERT_TRUE(domain.ok()) << domain.status();
+  EXPECT_EQ(*domain, truth.NonEmptyRows());
+}
+
+// Relation() checks its CancelToken once per source row.
+TEST(GkpEngineTest, RelationObservesCancellation) {
+  Tree t = PathTree(40);
+  PplBinPtr p = MustTranslate("descendant::*[child::*]");
+  std::atomic<bool> cancelled{true};
+  GkpEngine gkp(t);
+  EXPECT_EQ(gkp.Relation(*p, CancelToken(&cancelled)).status().code(),
+            StatusCode::kCancelled);
+  const auto past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  EXPECT_EQ(gkp.Relation(*p, CancelToken(nullptr, past)).status().code(),
+            StatusCode::kDeadlineExceeded);
+  // Neither an inactive token nor an active one that never fires changes
+  // the relation.
+  std::atomic<bool> idle{false};
+  const auto future =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  Result<BitMatrix> plain = GkpEngine(t).Relation(*p);
+  Result<BitMatrix> watched =
+      GkpEngine(t).Relation(*p, CancelToken(&idle, future));
+  ASSERT_TRUE(plain.ok() && watched.ok());
+  EXPECT_EQ(*plain, *watched);
+  EXPECT_EQ(*plain, MatrixEngine(t).Evaluate(*p));
+}
+
+// The filter-domain cache is keyed by the filter body's text: neither a
+// repeated filter nor a fresh expression at a reused address may be
+// served a stale domain.
+TEST(MatrixEngineTest, FilterDomainCacheIsKeyedByExpression) {
+  Rng rng(17);
+  RandomTreeOptions opts;
+  opts.num_nodes = 60;
+  opts.alphabet_size = 3;
+  Tree t = RandomTree(rng, opts);
+  xpath::DirectEvaluator direct(t);
+  auto expected_root_image = [&](const PplBinExpr& p) {
+    return direct.EvalPath(*ToXPath(p), {}).Row(t.root());
+  };
+  MatrixEngine engine(t);
+  PplBinPtr twice = MustTranslate(
+      "descendant::*[child::b]/child::*[child::b] union child::a[child::b]");
+  Result<BitVector> image = engine.EvaluateFromRoot(*twice);
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_EQ(*image, expected_root_image(*twice));
+  // Filters built and dropped one after another: each dies before the
+  // next is built, so the allocator hands a new filter body the address
+  // of an earlier, different one. Image(p, all) of a filter is its domain.
+  BitVector all(t.size());
+  all.Fill();
+  for (const char* label : {"a", "b", "c", "a", "c", "b", "zzz", "a"}) {
+    PplBinPtr p = PplBinExpr::Filter(PplBinExpr::Step(Axis::kChild, label));
+    Result<BitVector> got = engine.Image(*p, all);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, direct.EvalPath(*ToXPath(*p), {}).NonEmptyRows())
+        << label;
+  }
 }
 
 class GkpRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -287,14 +358,13 @@ TEST_P(GkpRandomTest, DomainMatchesNonEmptyRows) {
   opts.num_nodes = 20;
   Tree t = RandomTree(rng, opts);
   MatrixEngine matrix(t);
-  GkpEngine gkp(t);
   for (const char* text :
        {"child::a", "descendant::b/child::*", "child::a[child::b]",
         "following_sibling::*[descendant::c]",
         "parent::*/child::a union self::b"}) {
     PplBinPtr bin = MustTranslate(text);
     ASSERT_TRUE(bin->IsPositive()) << text;
-    Result<BitVector> domain = gkp.Domain(*bin);
+    Result<BitVector> domain = matrix.Domain(*bin);
     ASSERT_TRUE(domain.ok());
     EXPECT_EQ(*domain, matrix.Evaluate(*bin).NonEmptyRows()) << text;
   }
@@ -303,13 +373,13 @@ TEST_P(GkpRandomTest, DomainMatchesNonEmptyRows) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GkpRandomTest,
                          ::testing::Values(7, 8, 9, 10));
 
-TEST(GkpEngineTest, ImageOnPathTree) {
+TEST(MatrixEngineTest, ImageOnPathTree) {
   Tree t = PathTree(30);
-  GkpEngine gkp(t);
+  MatrixEngine matrix(t);
   BitVector from(t.size());
   from.Set(0);
   Result<BitVector> image =
-      gkp.Image(*MustTranslate("descendant::*"), from);
+      matrix.Image(*MustTranslate("descendant::*"), from);
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->Count(), 29u);
 }
