@@ -179,8 +179,10 @@ Tree BenchTree(std::size_t nodes) {
 //
 // The planner's monadic fast path: a matrix-engine (general PPLbin)
 // query whose caller only consumes the from-root node set propagates a
-// single BitVector, materializing a matrix only under `except` -- while
-// the kFullRelation shape pays |P| full O(n^3/64) Boolean products. The
+// single BitVector, materializing a sub-matrix only for a complement of
+// a non-step operand that the sweep reaches from more than one node (this
+// query's complements are of steps) -- while the kFullRelation shape
+// pays |P| full O(n^3/64) Boolean products. The
 // gap must widen asymptotically with the tree (the acceptance bar:
 // measurably faster at >= 2k nodes). Served through a DocumentStore so
 // the persistent AxisCache and plan memo isolate the evaluation cost.
@@ -248,6 +250,46 @@ void BM_ShapeBoolean(benchmark::State& state) {
   RunShapeBench(state, engine::ResultShape::kBoolean);
 }
 BENCHMARK(BM_ShapeBoolean)->Arg(512)->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------- from-root set difference
+//
+// The serving workload's `except` template, one from-root job per batch:
+// `descendant::X except descendant::Y[child::Z]` compiles to
+// except(except L union R), a complement of a non-step operand. Reached
+// from the root alone it needs only the root's row, which the image
+// sweep computes directly -- no n x n sub-matrix at any tree size.
+// Random trees (6 labels, fan-out <= 8) served through a DocumentStore:
+// axis cache, plan memo and query cache warm, relation cache off, so
+// every iteration evaluates the query as a unique cold read would.
+
+void BM_ShapeFromRootExcept(benchmark::State& state) {
+  Rng rng(11);
+  RandomTreeOptions opts;
+  opts.num_nodes = static_cast<std::size_t>(state.range(0));
+  opts.alphabet_size = 6;
+  opts.max_children = 8;
+  engine::DocumentStoreOptions store_options;
+  store_options.relation_cache_bytes = 0;
+  engine::DocumentStore store(store_options);
+  const engine::DocumentId id = store.Insert(RandomTree(rng, opts));
+  engine::QueryService service(
+      {.num_threads = 1, .document_store = &store});
+  const std::vector<engine::QueryJob> jobs = {
+      {.document = id,
+       .query = "descendant::a except descendant::b[child::c]",
+       .shape = engine::ResultShape::kFromRootSet}};
+  const engine::QueryResult warm = service.EvaluateBatch(jobs)[0];
+  if (!warm.status.ok()) {
+    state.SkipWithError(warm.status.ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.EvaluateBatch(jobs));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ShapeFromRootExcept)->Arg(4096)->Arg(16384)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- streaming vs materializing

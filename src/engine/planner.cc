@@ -88,23 +88,60 @@ double AxisRowAccessCost(double n) {
                   : WordsPerRow(n);
 }
 
-/// Cost of the row-restricted matrix path: positive operators propagate
-/// one BitVector (O(|t|) each); a complement over a plain step runs one
-/// kernel pass over the cached axis relation (per-row access cost depends
-/// on its representation); any other complement falls back to the full
-/// matrix evaluation of its subexpression.
-double MatrixMonadicCost(const ppl::PplBinExpr& p, double n) {
+/// True iff the row-restricted sweep materializes a sub-matrix when it
+/// reaches `p` from exactly one source node (`single_source`) or from
+/// more. Mirrors MatrixEngine::Image: the from-root sweep starts
+/// single-source; unions and single-source complements pass it down
+/// (image(not Q, {u}) is the complement of image(Q, {u})); a composition
+/// passes it to its left operand only, since its right operand starts
+/// from the left's image; filter bodies resolve by Preimage(body, all
+/// nodes) and never are. Any other complement materializes its operand's
+/// matrix unless that operand is a plain step (complement-of-step runs
+/// on the cached axis relation directly, whatever its representation).
+bool SweepMaterializes(const ppl::PplBinExpr& p, bool single_source) {
+  switch (p.kind) {
+    case ppl::PplBinKind::kStep:
+      return false;
+    case ppl::PplBinKind::kCompose:
+      return SweepMaterializes(*p.left, single_source) ||
+             SweepMaterializes(*p.right, false);
+    case ppl::PplBinKind::kUnion:
+      return SweepMaterializes(*p.left, single_source) ||
+             SweepMaterializes(*p.right, single_source);
+    case ppl::PplBinKind::kFilter:
+      return SweepMaterializes(*p.left, false);
+    case ppl::PplBinKind::kComplement:
+      if (single_source) return SweepMaterializes(*p.left, true);
+      return p.left->kind != ppl::PplBinKind::kStep;
+  }
+  return false;
+}
+
+/// Cost of the row-restricted matrix path, reached from `single_source`
+/// as in SweepMaterializes: positive operators propagate one BitVector
+/// (O(|t|) each), and so does a single-source complement; any other
+/// complement over a plain step runs one kernel pass over the cached axis
+/// relation (per-row access cost depends on its representation), and any
+/// other complement falls back to the full matrix evaluation of its
+/// subexpression.
+double MatrixMonadicCost(const ppl::PplBinExpr& p, double n,
+                         bool single_source) {
   switch (p.kind) {
     case ppl::PplBinKind::kStep:
       return n;
     case ppl::PplBinKind::kCompose:
+      return MatrixMonadicCost(*p.left, n, single_source) +
+             MatrixMonadicCost(*p.right, n, false) + WordsPerRow(n);
     case ppl::PplBinKind::kUnion:
-      return MatrixMonadicCost(*p.left, n) + MatrixMonadicCost(*p.right, n) +
-             WordsPerRow(n);
+      return MatrixMonadicCost(*p.left, n, single_source) +
+             MatrixMonadicCost(*p.right, n, single_source) + WordsPerRow(n);
     case ppl::PplBinKind::kFilter:
       // The domain resolves by a preimage walk of the same shape.
-      return MatrixMonadicCost(*p.left, n) + WordsPerRow(n);
+      return MatrixMonadicCost(*p.left, n, false) + WordsPerRow(n);
     case ppl::PplBinKind::kComplement:
+      if (single_source) {
+        return MatrixMonadicCost(*p.left, n, true) + WordsPerRow(n);
+      }
       if (p.left->kind == ppl::PplBinKind::kStep) {
         return n * AxisRowAccessCost(n) + n + WordsPerRow(n);
       }
@@ -239,24 +276,6 @@ SparseEst SparseCost(const ppl::PplBinExpr& p, const Tree& tree) {
 double SparsePeakBytes(const SparseEst& est, double n) {
   return est.peak_runs * static_cast<double>(sizeof(IntervalRun)) +
          3.0 * n * static_cast<double>(sizeof(std::uint32_t));
-}
-
-/// True iff the monadic matrix path must materialize a dense sub-matrix:
-/// some complement's operand is not a plain step (complement-of-step runs
-/// on the cached axis relation directly, whatever its representation).
-bool HasNonStepComplement(const ppl::PplBinExpr& p) {
-  switch (p.kind) {
-    case ppl::PplBinKind::kStep:
-      return false;
-    case ppl::PplBinKind::kCompose:
-    case ppl::PplBinKind::kUnion:
-      return HasNonStepComplement(*p.left) || HasNonStepComplement(*p.right);
-    case ppl::PplBinKind::kFilter:
-      return HasNonStepComplement(*p.left);
-    case ppl::PplBinKind::kComplement:
-      return p.left->kind != ppl::PplBinKind::kStep;
-  }
-  return false;
 }
 
 /// Cost of the single Boolean product a/b, EXCLUDING the cost of
@@ -544,14 +563,16 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
   }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const bool monadic = shape != ResultShape::kFullRelation;
-  const double matrix_cost = monadic
-                                 ? MatrixMonadicCost(*q.pplbin, n)
-                                 : MatrixFullCost(q.pplbin_size, n);
+  // Every monadic shape is the from-root sweep, which starts from one
+  // source node.
+  const double matrix_cost =
+      monadic ? MatrixMonadicCost(*q.pplbin, n, /*single_source=*/true)
+              : MatrixFullCost(q.pplbin_size, n);
   // Representation matters only where the matrix engine materializes
-  // relations: full-relation shapes, and monadic plans whose complement
-  // structure forces sub-matrices.
+  // relations: full-relation shapes, and monadic plans whose sweep
+  // reaches a complement that forces a sub-matrix.
   const bool materializes =
-      !monadic || HasNonStepComplement(*q.pplbin);
+      !monadic || SweepMaterializes(*q.pplbin, /*single_source=*/true);
   const bool over_ceiling =
       n > static_cast<double>(BitMatrix::kMaxDenseNodes);
 
@@ -643,11 +664,13 @@ bool PlanRequiresDenseRelation(const CompiledQuery& q,
                               plan.repr != MatrixRepr::kDense;
   // A full-relation answer IS an n x n matrix on every other route.
   if (plan.shape == ResultShape::kFullRelation) return !sparse_capable;
-  // Monadic matrix plans materialize a sub-matrix only underneath a
-  // complement whose operand is not a plain step -- dense only when the
-  // plan's representation says so.
+  // Monadic matrix plans materialize a sub-matrix only where the
+  // from-root sweep reaches a complement from more than one source and
+  // its operand is not a plain step -- dense only when the plan's
+  // representation says so.
   if (plan.engine == EnginePlan::kMatrixGeneral && q.pplbin != nullptr) {
-    return HasNonStepComplement(*q.pplbin) && !sparse_capable;
+    return SweepMaterializes(*q.pplbin, /*single_source=*/true) &&
+           !sparse_capable;
   }
   return false;
 }

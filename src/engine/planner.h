@@ -12,6 +12,7 @@
 //   kGkpPositive    O(|P| |t| |domain|)        -- (full relations only)
 //   kMatrixGeneral  dense: O(|P| |t|^3 / 64)   image sweep: O(|P| |t|)
 //                   sparse: O(runs merged)     + one sub-matrix per `except`
+//                                              reached from many sources
 //   kNaryAnswer     output-sensitive Section 7 machinery
 //
 // A full relation takes the cheapest admissible of three routes: GKP
@@ -23,7 +24,13 @@
 // GKP wins where its posting-list-bounded domain is the smaller bill.
 // Every monadic binary plan is the matrix engine's row-restricted image
 // sweep: GKP's per-source loop is that sweep run once per start node, so
-// the planner does not price GKP for monadic shapes.
+// the planner does not price GKP for monadic shapes. The sweep starts
+// from the root alone, and a complement it reaches from one source u is
+// swept too (row u of `except Q` is the complement of image(Q, {u})), so
+// a from-root `except` costs O(|P| |t|) and builds no matrix. Only a
+// complement of a non-step operand that the sweep reaches from many
+// sources -- under a composition's right operand, or inside a filter --
+// builds a sub-matrix.
 //
 // The *result shape* says what the caller actually consumes. Callers who
 // only need the nodes reachable from the root -- the overwhelmingly
@@ -109,9 +116,14 @@ struct ExecutionPlan {
   bool row_restricted = false;
   /// kTupleStream plans only: how the stream produces tuples.
   StreamBacking backing = StreamBacking::kNone;
-  /// Matrix-engine plans that materialize relations: which representation
-  /// the engine composes in. The planner's dense/sparse crossover picks
-  /// kDense or kSparse per (tree stats, label selectivity, query shape);
+  /// Matrix-engine plans that materialize relations (full relations, and
+  /// monadic plans whose sweep builds a sub-matrix for a complement
+  /// reached from many sources): which representation the engine
+  /// composes in. A monadic plan that builds no matrix -- a from-root
+  /// `except` among them -- has no representation to choose (it keeps
+  /// kDense, which it never uses). The planner's dense/sparse crossover
+  /// picks kDense or kSparse per (tree stats, label selectivity, query
+  /// shape);
   /// kAuto appears only via a forced override (PlanOverrides::repr) and
   /// lets the engine switch per node. Non-matrix plans keep the
   /// default (their execution never consults it).
@@ -173,9 +185,11 @@ struct ExecutionPlan {
 /// overrides it bypasses the PlanMemo in QueryService.
 ///
 /// Reassociation runs only for matrix plans that materialize relations
-/// (full-relation shapes, and monadic plans whose complement structure
-/// forces sub-matrices): purely monadic evaluation is a left-to-right
-/// vector sweep whose cost is association-invariant, and row
+/// (full-relation shapes, and monadic plans whose sweep reaches a
+/// complement of a non-step operand from many sources; a from-root
+/// `except` is swept from the root alone and never reassociates): purely
+/// monadic evaluation is a left-to-right vector sweep whose cost is
+/// association-invariant, and row
 /// restrictions push through a reassociated chain unchanged (Image
 /// recursion handles any parenthesization), so matrixxmatrix products
 /// become vectorxmatrix sweeps wherever the shape allows regardless of
@@ -192,8 +206,10 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
 /// machinery is dense end-to-end), kFullRelation shapes on non-matrix
 /// engines (their answer IS a dense matrix), and matrix plans whose
 /// chosen representation is kDense when the execution materializes
-/// relations (full-relation shapes, and monadic plans containing a
-/// complement over a non-step subexpression). Matrix plans carrying
+/// relations (full-relation shapes, and monadic plans whose sweep reaches
+/// a complement over a non-step subexpression from many sources -- never
+/// a from-root `except`, which is swept from the root alone and builds
+/// no matrix whatever the representation). Matrix plans carrying
 /// repr kSparse or kAuto never require the dense form: the sparse
 /// composition kernels run at any tree size under their run byte budget,
 /// which is how the planner lifts the old full-relation refusal on

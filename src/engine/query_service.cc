@@ -263,7 +263,7 @@ QueryResult QueryService::RunJob(
   if (plan.row_restricted) {
     ppl::MatrixEngineStats engine_stats;
     Result<BitVector> image =
-        internal::EvaluateFromRoot(q, plan, target, &engine_stats);
+        internal::EvaluateFromRoot(q, plan, target, cancel, &engine_stats);
     AccumulateEngineStats(engine_stats);
     if (!image.ok()) {
       result.status = image.status();
@@ -289,6 +289,7 @@ QueryResult QueryService::RunJob(
       ppl::MatrixEngine engine(target.cache, ppl::MultiplyMode::kBitPacked,
                                plan.repr);
       engine.set_relation_cache(target.relations);
+      engine.set_cancel(cancel);
       Result<ppl::AnyMatrix> rel = engine.EvaluateAny(
           plan.reassociated != nullptr ? *plan.reassociated : *q.pplbin);
       AccumulateEngineStats(engine.stats());

@@ -35,14 +35,20 @@
 // against the same bound. Each batch may carry a deadline and can be
 // cancelled through its BatchHandle; both are checked between jobs -- a
 // job observed after the deadline/cancellation reports
-// kDeadlineExceeded/kCancelled without running -- AND inside long-running
-// n-ary jobs and GKP full relations, whose evaluation observes the batch's
-// CancelToken between recursion steps (n-ary) or source rows (GKP) and
-// stops cooperatively with the same statuses. An
-// accepted batch is never dropped: even service destruction drains the
-// queue first. ServiceStats snapshots the queued/running/completed/
-// rejected counters plus the store's per-shard cache hit rates for
-// monitoring (see examples/batch_server.cc).
+// kDeadlineExceeded/kCancelled without running -- AND inside running
+// jobs. N-ary answering, GKP full relations and every matrix-engine
+// evaluation observe the batch's CancelToken and stop cooperatively with
+// the same statuses: n-ary answering between recursion steps, GKP
+// between source rows, the matrix engine at each interior node of a
+// relation (one whole product) and at each step of the from-root image
+// sweep behind monadic jobs and node-set streams. That sweep passes
+// through a complement it reaches from one source; only a complement of
+// a non-step operand reached from many sources builds a sub-matrix,
+// checked node by node like a full relation. An accepted batch is never
+// dropped: even service destruction drains the queue first. ServiceStats
+// snapshots the queued/running/completed/rejected counters plus the
+// store's per-shard cache hit rates for monitoring (see
+// examples/batch_server.cc).
 //
 // Streaming. OpenStream() returns a QueryStream cursor
 // (engine/query_stream.h) that serves a query's answers incrementally --
@@ -119,9 +125,9 @@ struct QueryResult {
   /// was malformed, or the job was skipped by admission control:
   /// kDeadlineExceeded / kCancelled mark jobs whose batch deadline passed
   /// or was cancelled before the job started (such jobs never run), or
-  /// mid-run for the engines that observe the batch's CancelToken (n-ary
-  /// answering and GKP full relations). Engine fields are empty whenever
-  /// status is non-OK.
+  /// mid-run: every engine observes the batch's CancelToken (n-ary
+  /// answering, GKP full relations, matrix relations and image sweeps).
+  /// Engine fields are empty whenever status is non-OK.
   Status status;
   /// The planner's decision that produced this result (valid when status
   /// is OK): engine, shape, row restriction, estimated costs.
@@ -196,7 +202,8 @@ class BatchHandle {
   std::vector<QueryResult> Wait();
   /// Requests cancellation: jobs not yet started report kCancelled; jobs
   /// already running stop at their engine's next cancellation check
-  /// (n-ary answering, GKP full relations) or finish normally.
+  /// (every engine has them; see the cancellation paragraph above) or
+  /// finish normally.
   /// Idempotent; never blocks.
   void Cancel();
 

@@ -13,10 +13,12 @@ namespace internal {
 Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
                                    const ExecutionPlan& plan,
                                    const JobTarget& target,
+                                   CancelToken cancel,
                                    ppl::MatrixEngineStats* stats) {
   ppl::MatrixEngine engine(target.cache, ppl::MultiplyMode::kBitPacked,
                            plan.repr);
   engine.set_relation_cache(target.relations);
+  engine.set_cancel(cancel);
   Result<BitVector> image = engine.EvaluateFromRoot(
       plan.reassociated != nullptr ? *plan.reassociated : *q.pplbin);
   if (stats != nullptr) *stats = engine.stats();
@@ -85,8 +87,9 @@ Status BuildBacking(StreamState& s) {
       break;
     }
     case StreamBacking::kNodeSet: {
-      Result<BitVector> image =
-          EvaluateFromRoot(q, s.plan, s.target, /*stats=*/nullptr);
+      Result<BitVector> image = EvaluateFromRoot(
+          q, s.plan, s.target, CancelToken(&s.cancelled, s.options.deadline),
+          /*stats=*/nullptr);
       if (!image.ok()) return image.status();
       s.node_set.emplace(std::move(image).value());
       s.node_pos = 0;

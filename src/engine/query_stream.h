@@ -204,11 +204,13 @@ struct JobTarget {
 /// The monadic from-root node set of a row-restricted binary plan: the
 /// matrix engine's image sweep on the plan's reassociated expression,
 /// whichever engine the plan names (a forced GKP plan is positive, and
-/// GKP's own FromRoot is this same sweep). `stats` (nullable) receives
-/// the engine's kernel counters on every return path.
+/// GKP's own FromRoot is this same sweep). The sweep observes `cancel`
+/// (MatrixEngine::set_cancel). `stats` (nullable) receives the engine's
+/// kernel counters on every return path.
 Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
                                    const ExecutionPlan& plan,
                                    const JobTarget& target,
+                                   CancelToken cancel,
                                    ppl::MatrixEngineStats* stats);
 
 /// The slice of QueryService's admission state shared with every stream

@@ -206,6 +206,9 @@ Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
     ++stats_.subrel_misses;
   }
 
+  // Every interior node is a whole product, union or complement, so the
+  // token's clock is read at each one.
+  if (p.kind != PplBinKind::kStep) XPV_RETURN_IF_ERROR(cancel_.CheckNow());
   Result<AnyMatrix> result = [&]() -> Result<AnyMatrix> {
     switch (p.kind) {
       case PplBinKind::kStep:
@@ -264,6 +267,7 @@ BitMatrix MatrixEngine::Evaluate(const PplBinExpr& p) {
 
 Result<BitVector> MatrixEngine::Image(const PplBinExpr& p,
                                       const BitVector& from) {
+  XPV_RETURN_IF_ERROR(cancel_.Check());
   switch (p.kind) {
     case PplBinKind::kStep: {
       BitVector out = AxisImage(tree_, p.axis, from);
@@ -289,6 +293,14 @@ Result<BitVector> MatrixEngine::Image(const PplBinExpr& p,
     case PplBinKind::kComplement: {
       // image(not Q, N)[v] = OR_{u in N} not M_Q[u][v]
       //                    = not (AND_{u in N} M_Q[u][v]).
+      if (from.Count() == 1) {
+        // Single source u: the AND is row u of M_Q alone, i.e.
+        // image(Q, {u}) -- the sweep continues into Q and no matrix is
+        // built, not even the cached axis relation of a step operand.
+        XPV_ASSIGN_OR_RETURN(BitVector out, Image(*p.left, from));
+        out.Complement();
+        return out;
+      }
       if (p.left->kind == PplBinKind::kStep) {
         // Complement-of-step fast path: row u of M_{A::N} is
         // axis_row(u) & lab_N, so for nonempty N the AND distributes as
@@ -318,6 +330,7 @@ Result<BitVector> MatrixEngine::Image(const PplBinExpr& p,
 
 Result<BitVector> MatrixEngine::Preimage(const PplBinExpr& p,
                                          const BitVector& to) {
+  XPV_RETURN_IF_ERROR(cancel_.Check());
   switch (p.kind) {
     case PplBinKind::kStep: {
       // (u, v) in [[A::N]] iff A(u, v) and v labeled N: constrain the

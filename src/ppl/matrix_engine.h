@@ -35,6 +35,7 @@
 #include <variant>
 
 #include "common/bit_matrix.h"
+#include "common/cancel.h"
 #include "common/sparse_matrix.h"
 #include "common/status.h"
 #include "ppl/pplbin.h"
@@ -144,6 +145,13 @@ class MatrixEngine {
     rel_cache_ = std::move(cache);
   }
 
+  /// Observes `cancel` from now on: every interior node of EvaluateAny
+  /// (one whole product, union or complement) reads it with CheckNow(),
+  /// and every Image / Preimage recursion step with the amortized
+  /// Check(), so a fired token surfaces as kCancelled / kDeadlineExceeded
+  /// from any entry point. The default token never fires.
+  void set_cancel(CancelToken cancel) { cancel_ = cancel; }
+
   /// M^t_P in the engine's chosen representation. Structurally identical
   /// subtrees inside `p` are hash-consed: each distinct subtree text is
   /// computed once per call (e.g. `(a/b) | ((a/b)/c)` evaluates `a/b`
@@ -169,25 +177,32 @@ class MatrixEngine {
   // evaluator. When a caller only consumes a node set -- not the full
   // O(|t|^2) relation -- the evaluation propagates a single BitVector
   // through the expression, Gottlob-Koch-Pichler style (Section 4), and
-  // falls back to materialized sub-matrices only underneath `except`.
-  // A filter [Q] intersects with domain(Q), which each engine computes
-  // once per distinct Q and reuses across calls, so GkpEngine's
-  // per-source full-relation loop (ppl/gkp_engine.h) pays for each
-  // filter domain once, not once per source. On the positive fragment
-  // images cost O(|P| |t|); under `except`:
+  // falls back to materialized sub-matrices only underneath `except`
+  // reached from more than one source node. A filter [Q] intersects with
+  // domain(Q), which each engine computes once per distinct Q and reuses
+  // across calls, so GkpEngine's per-source full-relation loop
+  // (ppl/gkp_engine.h) pays for each filter domain once, not once per
+  // source. On the positive fragment images cost O(|P| |t|); under
+  // `except`:
   //
+  //   image(not Q, {u})  = not image(Q, {u})
   //   image(not Q, N)    = not AndOfRows(M_Q, N)
   //   preimage(not Q, N) = not RowsContaining(M_Q, N)
   //
-  // so positive subplans run in O(|P| |t|) set ops and each complement
-  // node costs one sub-matrix evaluation instead of the whole query
-  // costing O(|P| |t|^3 / 64) -- except a complement whose operand is a
-  // plain step, which runs the AndOfRows / RowsContaining kernel
-  // directly on the cached axis relation (no sub-matrix at all, so it
-  // stays valid on interval-backed caches of any size). A general
-  // complement evaluates its sub-matrix through EvaluateAny, so in
-  // sparse/auto modes even those run beyond the dense ceiling; the
-  // Result statuses surface budget exhaustion instead of aborting.
+  // A complement reached from a single source u needs only row u of M_Q,
+  // which is image(Q, {u}): the sweep continues into Q and builds no
+  // matrix. From-root queries start single-source, and unions and
+  // complements keep it, so a from-root `except` that is not under the
+  // right operand of a composition or inside a filter is a pure sweep.
+  // Any other complement node costs one sub-matrix evaluation instead of
+  // the whole query costing O(|P| |t|^3 / 64) -- except a complement
+  // whose operand is a plain step, which runs the AndOfRows /
+  // RowsContaining kernel directly on the cached axis relation (no
+  // sub-matrix at all, so it stays valid on interval-backed caches of
+  // any size). A general complement evaluates its sub-matrix through
+  // EvaluateAny, so in sparse/auto modes even those run beyond the dense
+  // ceiling; the Result statuses surface budget exhaustion instead of
+  // aborting.
 
   /// S_P(N) = { v | exists u in N, (u, v) in [[P]] }.
   Result<BitVector> Image(const PplBinExpr& p, const BitVector& from);
@@ -240,6 +255,7 @@ class MatrixEngine {
   MatrixRepr repr_;
   std::shared_ptr<AxisCache> cache_;
   std::shared_ptr<RelationCache> rel_cache_;
+  CancelToken cancel_;
   MatrixEngineStats stats_;
   // Filter domains keyed by the filter body's surface text. ToString
   // round-trips, so equal keys mean equal expressions; pointer keys would

@@ -11,6 +11,7 @@
 // and the large-tree (1M-node) flat-memory smoke.
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,18 +194,28 @@ TEST(DenseCeilingTest, ServiceCrossesOverToSparseOnOversizedTrees) {
       service.OpenStream(t, "$x/descendant::*/$y");
   ASSERT_FALSE(stream.ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kResourceExhausted);
-  // A monadic complement over a non-step subexpression materializes one
-  // sub-matrix; the sparse kernels build it run-natively, so the old
-  // refusal is gone. (Surface `except` compiles to except(except L union
-  // R), so every set difference lands here.) On a path, descendants of
-  // the root minus its children = nodes 2..n-1.
-  engine::QueryResult cmpl =
-      service.Evaluate(t, "descendant::a except child::a",
-                       engine::ResultShape::kCount);
-  ASSERT_TRUE(cmpl.status.ok())
-      << cmpl.status << " " << cmpl.plan.DebugString();
-  EXPECT_NE(cmpl.plan.repr, MatrixRepr::kDense) << cmpl.plan.DebugString();
-  EXPECT_EQ(cmpl.count, n - 2);
+  // A from-root set difference builds no matrix at all. Surface `except`
+  // compiles to except(except L union R), and a complement reached from
+  // the root alone needs only the root's row, which the image sweep
+  // computes directly. So the job consults an attached relation cache
+  // not once, and even a forced dense representation is not refused. On
+  // a path, descendants of the root minus its children = nodes 2..n-1.
+  engine::DocumentStore store;
+  const engine::DocumentId doc = store.Insert(Tree(t));
+  engine::QueryService stored({.num_threads = 1, .document_store = &store});
+  for (std::optional<MatrixRepr> repr :
+       {std::optional<MatrixRepr>(), std::optional(MatrixRepr::kDense)}) {
+    engine::QueryJob job{.document = doc,
+                         .query = "descendant::a except child::a",
+                         .shape = engine::ResultShape::kCount};
+    job.overrides.repr = repr;
+    const engine::QueryResult cmpl = stored.EvaluateBatch({job})[0];
+    ASSERT_TRUE(cmpl.status.ok())
+        << cmpl.status << " " << cmpl.plan.DebugString();
+    EXPECT_EQ(cmpl.count, n - 2);
+  }
+  EXPECT_EQ(stored.stats().subrel_hits + stored.stats().subrel_misses, 0u);
+  EXPECT_EQ(store.stats().relation_hits + store.stats().relation_misses, 0u);
   // Monadic shapes of positive queries -- the serving workload -- keep
   // working through interval axes.
   engine::QueryResult count =

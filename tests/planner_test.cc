@@ -9,6 +9,8 @@
 // shape must produce results consistent with the full-relation
 // matrix-engine ground truth, byte-identical at 1, 2 and 8 threads.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <optional>
@@ -23,6 +25,7 @@
 #include "engine/document_store.h"
 #include "engine/planner.h"
 #include "engine/query_service.h"
+#include "engine/query_stream.h"
 #include "ppl/gkp_engine.h"
 #include "ppl/matrix_engine.h"
 #include "ppl/pplbin.h"
@@ -532,23 +535,39 @@ TEST(PlannerCostModelTest, LargeFullRelationTakesTheSparseRoute) {
   EXPECT_EQ(results[0].from_root, results[1].from_root);
 }
 
-/// True when `p` has a complement over a non-step operand: the one
-/// monadic shape whose sweep materializes a sub-matrix.
-bool HasNonStepComplement(const ppl::PplBinExpr& p) {
-  if (p.kind == ppl::PplBinKind::kComplement &&
-      p.left->kind != ppl::PplBinKind::kStep) {
-    return true;
+/// True when the from-root sweep of `p` builds a sub-matrix: it reaches a
+/// complement over a non-step operand from more than one source node.
+/// Follows MatrixEngine::Image: the root is one source; unions and
+/// single-source complements keep it (image(not Q, {u}) is the complement
+/// of image(Q, {u})); a composition's right operand and a filter's body
+/// start from many.
+bool SweepBuildsSubMatrix(const ppl::PplBinExpr& p, bool single_source) {
+  switch (p.kind) {
+    case ppl::PplBinKind::kStep:
+      return false;
+    case ppl::PplBinKind::kCompose:
+      return SweepBuildsSubMatrix(*p.left, single_source) ||
+             SweepBuildsSubMatrix(*p.right, false);
+    case ppl::PplBinKind::kUnion:
+      return SweepBuildsSubMatrix(*p.left, single_source) ||
+             SweepBuildsSubMatrix(*p.right, single_source);
+    case ppl::PplBinKind::kFilter:
+      return SweepBuildsSubMatrix(*p.left, false);
+    case ppl::PplBinKind::kComplement:
+      return single_source ? SweepBuildsSubMatrix(*p.left, true)
+                           : p.left->kind != ppl::PplBinKind::kStep;
   }
-  return (p.left != nullptr && HasNonStepComplement(*p.left)) ||
-         (p.right != nullptr && HasNonStepComplement(*p.right));
+  return false;
 }
 
 TEST(PlannerCostModelTest, MonadicPlansTakeTheMatrixImageSweep) {
   // GKP is a full-relation route only: every monadic binary plan, positive
   // or not, is the matrix engine's row-restricted sweep at any size, with
   // no rejected route to report. The one exception to alternative 0 is a
-  // complement over a non-step operand, whose sub-matrix has a dense and
-  // a sparse representation to choose between.
+  // complement over a non-step operand that the sweep reaches from more
+  // than one source: its sub-matrix has a dense and a sparse
+  // representation to choose between. A top-level `except` is reached
+  // from the root alone and is no exception.
   Rng rng(21);
   for (std::size_t nodes : {16u, 1500u, 40000u}) {
     RandomTreeOptions opts;
@@ -564,7 +583,9 @@ TEST(PlannerCostModelTest, MonadicPlansTakeTheMatrixImageSweep) {
     for (const std::string& text : texts) {
       auto compiled = engine::CompileQuery(text);
       ASSERT_TRUE(compiled.ok()) << text << ": " << compiled.status();
-      const bool sub_matrix = HasNonStepComplement(*(*compiled)->pplbin);
+      const bool sub_matrix =
+          SweepBuildsSubMatrix(*(*compiled)->pplbin, /*single_source=*/true);
+      if (text == texts[2]) EXPECT_FALSE(sub_matrix) << text;
       for (ResultShape shape : {ResultShape::kFromRootSet,
                                 ResultShape::kBoolean, ResultShape::kCount,
                                 ResultShape::kTupleStream}) {
@@ -577,6 +598,109 @@ TEST(PlannerCostModelTest, MonadicPlansTakeTheMatrixImageSweep) {
       }
     }
   }
+}
+
+TEST(PlannerCostModelTest, NonMaterializingMonadicPlansBuildNoMatrix) {
+  // The planner and the engine agree on where the from-root sweep builds
+  // a matrix. A forced-dense monadic plan requires a dense relation
+  // exactly when the planner marks it materializing; a plan it marks
+  // non-materializing must run without a single RelationCache consult
+  // (every interior node of a sub-matrix evaluation consults an attached
+  // cache) and without a Boolean product.
+  Rng rng(0x51a91e);
+  std::size_t swept_complements = 0;
+  for (std::size_t nodes : {64u, 700u}) {
+    RandomTreeOptions opts;
+    opts.num_nodes = nodes;
+    Tree t = RandomTree(rng, opts);
+    engine::DocumentStore store;
+    const engine::DocumentId id = store.Insert(Tree(t));
+    engine::QueryService service({.num_threads = 1, .document_store = &store});
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::string text =
+          ppl::ToXPath(*RandomPplBin(rng, 4, /*allow_complement=*/true))
+              ->ToString();
+      auto compiled = engine::CompileQuery(text);
+      ASSERT_TRUE(compiled.ok()) << text << ": " << compiled.status();
+      const ppl::PplBinExpr& p = *(*compiled)->pplbin;
+      const ExecutionPlan dense =
+          engine::PlanQuery(**compiled, t, ResultShape::kFromRootSet,
+                            std::nullopt, 0, MatrixRepr::kDense);
+      const bool materializes =
+          engine::PlanRequiresDenseRelation(**compiled, dense);
+      EXPECT_EQ(materializes, SweepBuildsSubMatrix(p, true)) << text;
+      if (materializes) continue;
+      // A non-step complement the sweep reaches from the root alone.
+      if (SweepBuildsSubMatrix(p, /*single_source=*/false)) {
+        ++swept_complements;
+      }
+      const engine::ServiceStats before = service.stats();
+      engine::QueryJob job{.document = id,
+                           .query = text,
+                           .shape = ResultShape::kFromRootSet};
+      const engine::QueryResult r = service.EvaluateBatch({job})[0];
+      ASSERT_TRUE(r.status.ok()) << text << ": " << r.status;
+      EXPECT_EQ(r.plan.alternative_cost, 0.0) << r.plan.DebugString();
+      const engine::ServiceStats after = service.stats();
+      EXPECT_EQ(after.subrel_hits + after.subrel_misses,
+                before.subrel_hits + before.subrel_misses)
+          << text;
+      EXPECT_EQ(after.dense_products + after.sparse_products,
+                before.dense_products + before.sparse_products)
+          << text;
+    }
+  }
+  EXPECT_GT(swept_complements, 0u);
+}
+
+TEST(PlannerCostModelTest, FromRootExceptIsAPureSweepAboveTheCeiling) {
+  // The serving workload's set difference on a tree above the dense
+  // ceiling: the complement is reached from the root alone, so the plan
+  // has no representation to choose, no chain to reassociate and no
+  // dense relation to refuse -- even with kDense forced.
+  Rng rng(40000);
+  RandomTreeOptions opts;
+  opts.num_nodes = 40000;
+  Tree t = RandomTree(rng, opts);
+  ASSERT_GT(t.size(), BitMatrix::kMaxDenseNodes);
+  const std::string text = "descendant::* except descendant::a[child::b]";
+  auto compiled = engine::CompileQuery(text);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  for (std::optional<MatrixRepr> repr :
+       {std::optional<MatrixRepr>(), std::optional(MatrixRepr::kDense)}) {
+    const ExecutionPlan plan = engine::PlanQuery(
+        **compiled, t, ResultShape::kFromRootSet, std::nullopt, 0, repr);
+    EXPECT_EQ(plan.alternative_cost, 0.0) << plan.DebugString();
+    EXPECT_EQ(plan.reassociated, nullptr) << plan.DebugString();
+    EXPECT_EQ(plan.chains_reassociated, 0u) << plan.DebugString();
+    EXPECT_FALSE(engine::PlanRequiresDenseRelation(**compiled, plan))
+        << plan.DebugString();
+  }
+  std::vector<engine::QueryJob> jobs(2);
+  for (engine::QueryJob& job : jobs) {
+    job.query = text;
+    job.shape = ResultShape::kFromRootSet;
+  }
+  jobs[0].overrides.repr = MatrixRepr::kDense;
+  jobs[1].overrides.repr = MatrixRepr::kSparse;
+  const std::vector<engine::QueryResult> results =
+      EvaluateOnFreshStore(t, jobs, 1);
+  ASSERT_TRUE(results[0].status.ok())
+      << results[0].status << " " << results[0].plan.DebugString();
+  ASSERT_TRUE(results[1].status.ok())
+      << results[1].status << " " << results[1].plan.DebugString();
+  EXPECT_EQ(results[0].from_root, results[1].from_root);
+  // By hand: every non-root node but the a-nodes with a b-child.
+  BitVector expected(t.size());
+  for (NodeId v = 0; v < t.size(); ++v) {
+    if (t.IsRoot(v)) continue;
+    bool a_with_b_child = false;
+    if (t.label_name(v) == "a") {
+      for (NodeId c : t.Children(v)) a_with_b_child |= t.label_name(c) == "b";
+    }
+    if (!a_with_b_child) expected.Set(v);
+  }
+  EXPECT_EQ(results[0].from_root, expected);
 }
 
 TEST(PlannerCostModelTest, SelectiveLabelsShrinkTheGkpDomainEstimate) {
@@ -671,6 +795,47 @@ TEST(PlanMemoTest, BoundedInsertion) {
 }
 
 // ------------------------------------------------- regression: null store
+
+TEST(FromRootDispatchTest, EvaluateFromRootObservesCancellation) {
+  // The monadic dispatch behind every job and node-set stream hands the
+  // caller's token to the sweep: a top-level `except` (swept from the
+  // root alone) and one under a composition (which builds a sub-matrix).
+  Rng rng(5);
+  RandomTreeOptions opts;
+  opts.num_nodes = 300;
+  Tree t = RandomTree(rng, opts);
+  engine::internal::JobTarget target{.tree = &t,
+                                     .cache = std::make_shared<AxisCache>(t)};
+  std::atomic<bool> cancelled{true};
+  std::atomic<bool> idle{false};
+  const auto now = std::chrono::steady_clock::now();
+  for (const char* text : {"descendant::* except descendant::a[child::b]",
+                           "descendant::*/(child::* except child::a)"}) {
+    auto compiled = engine::CompileQuery(text);
+    ASSERT_TRUE(compiled.ok()) << text << ": " << compiled.status();
+    const ExecutionPlan plan =
+        engine::PlanQuery(**compiled, t, ResultShape::kFromRootSet);
+    auto run = [&](CancelToken token) {
+      return engine::internal::EvaluateFromRoot(**compiled, plan, target,
+                                                token, /*stats=*/nullptr);
+    };
+    EXPECT_EQ(run(CancelToken(&cancelled)).status().code(),
+              StatusCode::kCancelled)
+        << text;
+    EXPECT_EQ(run(CancelToken(nullptr, now - std::chrono::seconds(1)))
+                  .status()
+                  .code(),
+              StatusCode::kDeadlineExceeded)
+        << text;
+    Result<BitVector> plain = run(CancelToken());
+    Result<BitVector> watched =
+        run(CancelToken(&idle, now + std::chrono::hours(1)));
+    ASSERT_TRUE(plain.ok() && watched.ok()) << text;
+    EXPECT_EQ(*plain, *watched) << text;
+    EXPECT_EQ(*plain, GroundTruth(t, *(*compiled)->pplbin).Row(t.root()))
+        << text;
+  }
+}
 
 TEST(NullStoreRegressionTest, DocumentJobsWithoutStoreAreInvalidArgument) {
   // A service with no DocumentStore must reject DocumentId jobs with a

@@ -4,12 +4,18 @@
 // relation for the positive fragment.
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "ppl/gkp_engine.h"
 #include "ppl/matrix_engine.h"
 #include "ppl/pplbin.h"
+#include "ppl/relation_cache.h"
+#include "tree/axis_cache.h"
 #include "tree/generators.h"
 #include "xpath/eval.h"
 #include "xpath/fragment.h"
@@ -289,6 +295,45 @@ TEST(GkpEngineTest, RelationObservesCancellation) {
   EXPECT_EQ(*plain, MatrixEngine(t).Evaluate(*p));
 }
 
+TEST(MatrixEngineTest, EvaluationObservesCancellation) {
+  Tree t = PathTree(40);
+  // Interior nodes of every kind, and a complement the from-root sweep
+  // reaches from many sources (it builds a sub-matrix).
+  PplBinPtr p = MustTranslate(
+      "descendant::*[child::*] except child::*/(descendant::* except "
+      "child::*)");
+  std::atomic<bool> cancelled{true};
+  const auto past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  for (const auto& [token, code] :
+       {std::pair{CancelToken(&cancelled), StatusCode::kCancelled},
+        std::pair{CancelToken(nullptr, past),
+                  StatusCode::kDeadlineExceeded}}) {
+    MatrixEngine any(t);
+    any.set_cancel(token);
+    EXPECT_EQ(any.EvaluateAny(*p).status().code(), code);
+    MatrixEngine root(t);
+    root.set_cancel(token);
+    EXPECT_EQ(root.EvaluateFromRoot(*p).status().code(), code);
+  }
+  // Neither an inactive token nor an active one that never fires changes
+  // a result.
+  std::atomic<bool> idle{false};
+  const auto future =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  MatrixEngine plain(t);
+  MatrixEngine watched(t);
+  watched.set_cancel(CancelToken(&idle, future));
+  Result<BitMatrix> plain_rel = plain.EvaluateDense(*p);
+  Result<BitMatrix> watched_rel = watched.EvaluateDense(*p);
+  ASSERT_TRUE(plain_rel.ok() && watched_rel.ok());
+  EXPECT_EQ(*plain_rel, *watched_rel);
+  Result<BitVector> plain_root = plain.EvaluateFromRoot(*p);
+  Result<BitVector> watched_root = watched.EvaluateFromRoot(*p);
+  ASSERT_TRUE(plain_root.ok() && watched_root.ok());
+  EXPECT_EQ(*plain_root, *watched_root);
+  EXPECT_EQ(*plain_root, plain_rel->Row(t.root()));
+}
+
 // The filter-domain cache is keyed by the filter body's text: neither a
 // repeated filter nor a fresh expression at a reused address may be
 // served a stale domain.
@@ -383,6 +428,97 @@ TEST(MatrixEngineTest, ImageOnPathTree) {
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->Count(), 29u);
 }
+
+/// General PPLbin of the given depth, complements (nested ones too)
+/// included.
+PplBinPtr RandomPplBin(Rng& rng, int depth) {
+  if (depth <= 0 || rng.Chance(1, 3)) {
+    if (rng.Chance(1, 5)) return PplBinExpr::Self();
+    return PplBinExpr::Step(
+        kAllAxes[rng.Below(kAllAxes.size())],
+        rng.Chance(1, 3) ? "*" : GeneratorLabel(rng.Below(3)));
+  }
+  switch (rng.Below(4)) {
+    case 0:
+      return PplBinExpr::Compose(RandomPplBin(rng, depth - 1),
+                                 RandomPplBin(rng, depth - 1));
+    case 1:
+      return PplBinExpr::Union(RandomPplBin(rng, depth - 1),
+                               RandomPplBin(rng, depth - 1));
+    case 2:
+      return PplBinExpr::Filter(RandomPplBin(rng, depth - 1));
+    default:
+      return PplBinExpr::Complement(RandomPplBin(rng, depth - 1));
+  }
+}
+
+// Row u of M_P is image(P, {u}), and row u of M_{except P} is its
+// complement. The single-source sweep must agree row for row with the
+// bottom-up matrix evaluation, and with the Fig. 2 direct evaluator on
+// small trees. It evaluates a complement reached from u alone as the
+// complement of its operand's image, so sweeping `except P` from every
+// node does exactly the matrix work of sweeping P: the same relation
+// cache consults, the same products, the same axis matrices built.
+class SingleSourceImageTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(SingleSourceImageTest, FromNodeImagesAreMatrixRows) {
+  Rng rng(GetParam());
+  for (std::size_t nodes : {64u, 256u, 1024u, 4096u}) {
+    RandomTreeOptions opts;
+    opts.num_nodes = nodes;
+    Tree t = RandomTree(rng, opts);
+    const int queries = nodes <= 256 ? 6 : 2;
+    for (int trial = 0; trial < queries; ++trial) {
+      PplBinPtr p = RandomPplBin(rng, 4);
+      PplBinPtr not_p = PplBinExpr::Complement(p->Clone());
+      const std::string ctx =
+          p->ToString() + " on " + std::to_string(nodes) + " nodes";
+      Result<AnyMatrix> whole = MatrixEngine(t).EvaluateAny(*p);
+      ASSERT_TRUE(whole.ok()) << ctx << ": " << whole.status();
+      std::optional<BitMatrix> direct;
+      if (nodes <= 256) {
+        direct = xpath::DirectEvaluator(t).EvalPath(*ToXPath(*p), {});
+      }
+      // One engine per expression, each with its own axis and relation
+      // caches. Complements reached from many sources (under a
+      // composition's right operand or in a filter) still build their
+      // sub-matrix; the relation cache builds each once for the loop.
+      auto pos_axes = std::make_shared<AxisCache>(t);
+      auto neg_axes = std::make_shared<AxisCache>(t);
+      MatrixEngine pos(pos_axes);
+      MatrixEngine neg(neg_axes);
+      pos.set_relation_cache(std::make_shared<RelationCache>(64u << 20));
+      neg.set_relation_cache(std::make_shared<RelationCache>(64u << 20));
+      for (NodeId u = 0; u < t.size(); ++u) {
+        Result<BitVector> row = pos.EvaluateFromNode(*p, u);
+        ASSERT_TRUE(row.ok()) << ctx << ": " << row.status();
+        BitVector source(t.size());
+        source.Set(u);
+        ASSERT_EQ(*row, whole->ImageOf(source)) << ctx << ", row " << u;
+        if (direct.has_value()) {
+          ASSERT_EQ(*row, direct->Row(u)) << ctx << ", row " << u;
+        }
+        Result<BitVector> not_row = neg.EvaluateFromNode(*not_p, u);
+        ASSERT_TRUE(not_row.ok()) << ctx << ": " << not_row.status();
+        row->Complement();
+        ASSERT_EQ(*not_row, *row) << "except " << ctx << ", row " << u;
+      }
+      const MatrixEngineStats& a = pos.stats();
+      const MatrixEngineStats& b = neg.stats();
+      EXPECT_EQ(b.subrel_hits, a.subrel_hits) << ctx;
+      EXPECT_EQ(b.subrel_misses, a.subrel_misses) << ctx;
+      EXPECT_EQ(b.dense_products + b.sparse_products,
+                a.dense_products + a.sparse_products)
+          << ctx;
+      EXPECT_EQ(neg_axes->matrices_built(), pos_axes->matrices_built())
+          << ctx;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SingleSourceImageTest,
+                         ::testing::Values(31, 32, 33));
 
 TEST(MakeNodesRelationTest, IsPositiveAndFull) {
   PplBinPtr nodes = MakeNodesRelation();

@@ -30,6 +30,7 @@ FLAGGED_SECTIONS = [
     "BM_ShapeFullRelation",
     "BM_ShapeFromRootSet",
     "BM_ShapeBoolean",
+    "BM_ShapeFromRootExcept",
     "BM_Batch100StoreSharded",
     "BM_StreamFirstK",
     "BM_AxisBuildDense",
