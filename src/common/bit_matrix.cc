@@ -198,14 +198,21 @@ BitMatrix BitMatrix::Multiply(const BitMatrix& other) const {
   // OR of other[k] over all set bits k of row r. The extra passes over
   // `this` cost n^2/64 words per band -- negligible against the n^3/64
   // word OR volume they localize.
+  // Locals, not members: the OR stores below are uint64_t writes, which
+  // could alias a size_t member and force a reload on every word.
   constexpr std::size_t kBandRows = 512;
-  for (std::size_t k0 = 0; k0 < n_; k0 += kBandRows) {
-    const std::size_t k1 = std::min(n_, k0 + kBandRows);
+  const std::size_t n = n_;
+  const std::size_t words_per_row = words_per_row_;
+  std::uint64_t* const out_words = out.words_.begin();
+  const std::uint64_t* const this_words = words_.begin();
+  const std::uint64_t* const other_words = other.words_.begin();
+  for (std::size_t k0 = 0; k0 < n; k0 += kBandRows) {
+    const std::size_t k1 = std::min(n, k0 + kBandRows);
     const std::size_t w0 = k0 >> 6;
     const std::size_t w1 = (k1 + 63) >> 6;
-    for (std::size_t r = 0; r < n_; ++r) {
-      std::uint64_t* out_row = &out.words_[r * words_per_row_];
-      const std::uint64_t* this_row = &words_[r * words_per_row_];
+    for (std::size_t r = 0; r < n; ++r) {
+      std::uint64_t* out_row = out_words + r * words_per_row;
+      const std::uint64_t* this_row = this_words + r * words_per_row;
       for (std::size_t w = w0; w < w1; ++w) {
         std::uint64_t bits = this_row[w];
         // Trim the first/last word of the band to [k0, k1).
@@ -217,8 +224,8 @@ BitMatrix BitMatrix::Multiply(const BitMatrix& other) const {
           const std::size_t k =
               w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
           bits &= bits - 1;
-          const std::uint64_t* other_row = &other.words_[k * words_per_row_];
-          for (std::size_t j = 0; j < words_per_row_; ++j) {
+          const std::uint64_t* other_row = other_words + k * words_per_row;
+          for (std::size_t j = 0; j < words_per_row; ++j) {
             out_row[j] |= other_row[j];
           }
         }

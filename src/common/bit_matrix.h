@@ -16,8 +16,12 @@
 #ifndef XPV_COMMON_BIT_MATRIX_H_
 #define XPV_COMMON_BIT_MATRIX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -115,6 +119,62 @@ class BitVector {
   std::vector<std::uint64_t> words_;
 };
 
+/// BitMatrix storage: a fixed-size heap array of 64-bit words. A new
+/// array comes from calloc and is never written on construction, so a
+/// large matrix maps the OS's zero pages and pays only for the pages its
+/// bits later touch (a small one gets calloc's memset of a recycled
+/// chunk). A copy takes malloc'd memory and copies into it, so it writes
+/// each word once instead of zero-filling first. Like std::vector it
+/// holds two pointers, which word stores cannot alias, so loops bounded
+/// by size() keep their bound in a register.
+class ZeroedWords {
+ public:
+  ZeroedWords() = default;
+  explicit ZeroedWords(std::size_t size)
+      : ZeroedWords(Checked(std::calloc(size, kWordBytes), size), size) {}
+  ZeroedWords(const ZeroedWords& other)
+      : ZeroedWords(Checked(std::malloc(other.size() * kWordBytes),
+                            other.size()),
+                    other.size()) {
+    std::copy(other.begin(), other.end(), begin_);
+  }
+  ZeroedWords(ZeroedWords&& other) noexcept
+      : begin_(std::exchange(other.begin_, nullptr)),
+        end_(std::exchange(other.end_, nullptr)) {}
+  /// Copy-and-swap: serves copy and move assignment alike.
+  ZeroedWords& operator=(ZeroedWords other) noexcept {
+    std::swap(begin_, other.begin_);
+    std::swap(end_, other.end_);
+    return *this;
+  }
+  ~ZeroedWords() { std::free(begin_); }
+
+  std::size_t size() const { return static_cast<std::size_t>(end_ - begin_); }
+  std::uint64_t* begin() { return begin_; }
+  std::uint64_t* end() { return end_; }
+  const std::uint64_t* begin() const { return begin_; }
+  const std::uint64_t* end() const { return end_; }
+  std::uint64_t& operator[](std::size_t i) { return begin_[i]; }
+  const std::uint64_t& operator[](std::size_t i) const { return begin_[i]; }
+
+  bool operator==(const ZeroedWords& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  static constexpr std::size_t kWordBytes = sizeof(std::uint64_t);
+
+  ZeroedWords(std::uint64_t* words, std::size_t size)
+      : begin_(words), end_(words + size) {}
+  static std::uint64_t* Checked(void* p, std::size_t size) {
+    if (p == nullptr && size != 0) throw std::bad_alloc();
+    return static_cast<std::uint64_t*>(p);
+  }
+
+  std::uint64_t* begin_ = nullptr;
+  std::uint64_t* end_ = nullptr;
+};
+
 /// Square Boolean matrix with bit-packed rows.
 class BitMatrix {
  public:
@@ -128,7 +188,7 @@ class BitMatrix {
 
   BitMatrix() : n_(0), words_per_row_(0) {}
   explicit BitMatrix(std::size_t n)
-      : n_(n), words_per_row_((n + 63) / 64), words_(n * words_per_row_, 0) {}
+      : n_(n), words_per_row_((n + 63) / 64), words_(n * words_per_row_) {}
 
   /// Fallible construction: refuses dimensions beyond kMaxDenseNodes with
   /// kResourceExhausted instead of attempting the O(n^2)-bit allocation.
@@ -143,7 +203,9 @@ class BitMatrix {
   static BitMatrix Full(std::size_t n);
 
   std::size_t size() const { return n_; }
-  /// Heap bytes held by the bit-packed payload (n * ceil(n/64) words).
+  /// Heap bytes reserved for the bit-packed payload (n * ceil(n/64)
+  /// words): an upper bound on what is resident, since zero pages that
+  /// were never written stay unmapped.
   std::size_t resident_bytes() const {
     return words_.size() * sizeof(std::uint64_t);
   }
@@ -249,7 +311,7 @@ class BitMatrix {
 
   std::size_t n_;
   std::size_t words_per_row_;
-  std::vector<std::uint64_t> words_;
+  ZeroedWords words_;
 };
 
 }  // namespace xpv

@@ -293,8 +293,11 @@ QueryResult QueryService::RunJob(
       Result<ppl::AnyMatrix> rel = engine.EvaluateAny(
           plan.reassociated != nullptr ? *plan.reassociated : *q.pplbin);
       AccumulateEngineStats(engine.stats());
-      if (!rel.ok()) {
-        result.status = rel.status();
+      // The last product may have outlived the deadline: stop before
+      // paying for the payload (densify, or the above-ceiling from_root).
+      Status live = rel.ok() ? cancel.CheckNow() : rel.status();
+      if (!live.ok()) {
+        result.status = live;
         return result;
       }
       ppl::AnyMatrix m = std::move(rel).value();

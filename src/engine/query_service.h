@@ -40,15 +40,15 @@
 // evaluation observe the batch's CancelToken and stop cooperatively with
 // the same statuses: n-ary answering between recursion steps, GKP
 // between source rows, the matrix engine at each interior node of a
-// relation (one whole product) and at each step of the from-root image
-// sweep behind monadic jobs and node-set streams. That sweep passes
-// through a complement it reaches from one source; only a complement of
-// a non-step operand reached from many sources builds a sub-matrix,
-// checked node by node like a full relation. An accepted batch is never
-// dropped: even service destruction drains the queue first. ServiceStats
-// snapshots the queued/running/completed/rejected counters plus the
-// store's per-shard cache hit rates for monitoring (see
-// examples/batch_server.cc).
+// relation (on entry and between its operands and its own product) and
+// at each step of the from-root image sweep behind monadic jobs and
+// node-set streams. That sweep passes through a complement it reaches
+// from one source; only a complement of a non-step operand reached from
+// many sources builds a sub-matrix, checked node by node like a full
+// relation. An accepted batch is never dropped: even service destruction
+// drains the queue first. ServiceStats snapshots the
+// queued/running/completed/rejected counters plus the store's per-shard
+// cache hit rates for monitoring (see examples/batch_server.cc).
 //
 // Streaming. OpenStream() returns a QueryStream cursor
 // (engine/query_stream.h) that serves a query's answers incrementally --

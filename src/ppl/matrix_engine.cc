@@ -207,7 +207,9 @@ Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
   }
 
   // Every interior node is a whole product, union or complement, so the
-  // token's clock is read at each one.
+  // token's clock is read when the node is entered and again once its
+  // operands are ready, before the node's own kernel: a deadline that
+  // passes while an operand's product runs stops the next product.
   if (p.kind != PplBinKind::kStep) XPV_RETURN_IF_ERROR(cancel_.CheckNow());
   Result<AnyMatrix> result = [&]() -> Result<AnyMatrix> {
     switch (p.kind) {
@@ -216,19 +218,23 @@ Result<AnyMatrix> MatrixEngine::EvalNode(const PplBinExpr& p,
       case PplBinKind::kCompose: {
         XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
         XPV_ASSIGN_OR_RETURN(AnyMatrix b, EvalNode(*p.right, ctx));
+        XPV_RETURN_IF_ERROR(cancel_.CheckNow());
         return ComposeAny(std::move(a), std::move(b));
       }
       case PplBinKind::kUnion: {
         XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
         XPV_ASSIGN_OR_RETURN(AnyMatrix b, EvalNode(*p.right, ctx));
+        XPV_RETURN_IF_ERROR(cancel_.CheckNow());
         return UnionAny(std::move(a), std::move(b));
       }
       case PplBinKind::kComplement: {
         XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
+        XPV_RETURN_IF_ERROR(cancel_.CheckNow());
         return ComplementAny(std::move(a));
       }
       case PplBinKind::kFilter: {
         XPV_ASSIGN_OR_RETURN(AnyMatrix a, EvalNode(*p.left, ctx));
+        XPV_RETURN_IF_ERROR(cancel_.CheckNow());
         return FilterAny(std::move(a));
       }
     }

@@ -146,10 +146,11 @@ class MatrixEngine {
   }
 
   /// Observes `cancel` from now on: every interior node of EvaluateAny
-  /// (one whole product, union or complement) reads it with CheckNow(),
-  /// and every Image / Preimage recursion step with the amortized
-  /// Check(), so a fired token surfaces as kCancelled / kDeadlineExceeded
-  /// from any entry point. The default token never fires.
+  /// (one whole product, union or complement) reads it with CheckNow()
+  /// on entry and again between its operands and its own kernel, and
+  /// every Image / Preimage recursion step with the amortized Check(), so
+  /// a fired token surfaces as kCancelled / kDeadlineExceeded from any
+  /// entry point. The default token never fires.
   void set_cancel(CancelToken cancel) { cancel_ = cancel; }
 
   /// M^t_P in the engine's chosen representation. Structurally identical

@@ -236,6 +236,48 @@ TEST(AdmissionTest, CancelSkipsUnstartedJobsAndAccountsExactly) {
   EXPECT_EQ(stats.batches_completed, 1u);
 }
 
+TEST(AdmissionTest, DeadlinePassingInsideAProductStopsTheDenseJob) {
+  // A forced-dense, parse-order chain on a path: descendant x child is a
+  // ~n^3/128-word product (~0.8 s at n = 6144 on a 4-core VM, optimized
+  // build), and its result times child is a second one. The deadline
+  // lands 20 ms after submit, about 40x inside the first product, yet
+  // after the job has started. The engine must notice it between the
+  // two products, not run the whole chain and return OK. Dense axes,
+  // built before the timed batch, keep the leaves to a copy each.
+  DocumentStore store(
+      {.axis_backing = AxisBacking::kDense, .relation_cache_bytes = 0});
+  const DocumentId id = store.Insert(PathTree(6144));
+  QueryService service({.num_threads = 1, .document_store = &store});
+  QueryJob job;
+  job.document = id;
+  job.query = "descendant::*/child::*/child::*";
+  job.overrides.engine = engine::EnginePlan::kMatrixGeneral;
+  job.overrides.repr = MatrixRepr::kDense;
+  job.overrides.parse_order = true;
+  ASSERT_TRUE(service
+                  .Evaluate(id, "descendant::* union child::*",
+                            engine::ResultShape::kCount)
+                  .status.ok());
+
+  BatchOptions options;
+  options.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  auto h = service.TrySubmit({job}, options);
+  ASSERT_TRUE(h.ok()) << h.status();
+  std::vector<QueryResult> results = h->Wait();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kDeadlineExceeded)
+      << results[0].status;
+  // Fired inside the engine, not by the start-of-job admission check.
+  EXPECT_NE(results[0].status.message().find("mid-run"), std::string::npos)
+      << results[0].status;
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_deadline_exceeded, 1u);
+  // The second product never ran. (A slow sanitizer build may pass the
+  // deadline before the first one starts; that stops the job too.)
+  EXPECT_LE(stats.dense_products, 1u);
+}
+
 // ------------------------------------------- shard rebalance under Remove
 //
 // Documents are removed (and fresh ones inserted) while batches are in

@@ -21,6 +21,7 @@
 #include "common/bit_matrix.h"
 #include "common/bool_matrix.h"
 #include "common/rng.h"
+#include "common/sparse_matrix.h"
 #include "engine/document_store.h"
 #include "engine/query_service.h"
 #include "hcl/binary_query.h"
@@ -162,6 +163,47 @@ TEST(DenseCeilingTest, CreateRefusesOversizedDimensions) {
       AxisIntervalMatrix(big, Axis::kDescendant).ToDense();
   ASSERT_FALSE(expanded.ok());
   EXPECT_EQ(expanded.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Densifying a run list writes only its runs into calloc'd storage. The
+// result must equal a matrix set bit by bit -- also when the allocator
+// recycles the chunk of a full matrix destroyed just before.
+TEST(DenseCeilingTest, ToDenseOfARunListMatchesABitwiseOracle) {
+  Rng rng(11);
+  RandomTreeOptions opts;
+  opts.num_nodes = 16384;
+  opts.alphabet_size = 6;
+  opts.max_children = 8;
+  const Tree t = RandomTree(rng, opts);
+  const std::size_t n = t.size();
+  // descendant::a/child::b/child::e, composed in the run-list form.
+  const ppl::PplBinPtr p = ppl::PplBinExpr::Compose(
+      ppl::PplBinExpr::Compose(ppl::PplBinExpr::Step(Axis::kDescendant, "a"),
+                               ppl::PplBinExpr::Step(Axis::kChild, "b")),
+      ppl::PplBinExpr::Step(Axis::kChild, "e"));
+  ppl::MatrixEngine engine(std::make_shared<AxisCache>(t),
+                           ppl::MultiplyMode::kBitPacked, MatrixRepr::kSparse);
+  Result<ppl::AnyMatrix> rel = engine.EvaluateAny(*p);
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  ASSERT_FALSE(rel->is_dense());
+  const SparseBoolMatrix& runs = rel->sparse();
+  ASSERT_GT(runs.num_runs(), 0u);
+
+  BitMatrix oracle(n);
+  std::size_t bits = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    auto [first, last] = runs.RunsOf(r);
+    for (auto it = first; it != last; ++it) {
+      for (std::size_t c = it->begin; c < it->end; ++c) oracle.Set(r, c);
+      bits += it->end - it->begin;
+    }
+  }
+  { const BitMatrix dirty = BitMatrix::Full(n); }
+  Result<BitMatrix> dense = rel->ToDense();
+  ASSERT_TRUE(dense.ok()) << dense.status();
+  EXPECT_EQ(dense->Count(), bits);
+  EXPECT_EQ(oracle.Count(), bits);
+  EXPECT_TRUE(*dense == oracle);
 }
 
 TEST(DenseCeilingTest, ServiceCrossesOverToSparseOnOversizedTrees) {

@@ -172,6 +172,51 @@ TEST(BitMatrixTest, IdentityAndFull) {
   EXPECT_EQ(full.Count(), 67u * 67u);
 }
 
+// BitMatrix storage is calloc'd and never written on construction. A
+// fresh matrix must still read all-zero when the allocator hands back the
+// chunk a just-destroyed full matrix dirtied -- in small bins (64), in
+// the heap once glibc's mmap threshold has grown (4096), and above it.
+TEST(BitMatrixTest, FreshMatrixIsZeroAfterAFullOneIsFreed) {
+  for (std::size_t n : {64, 4096, 16384, 32768}) {
+    for (int round = 0; round < 2; ++round) {
+      {
+        BitMatrix full = BitMatrix::Full(n);
+        ASSERT_EQ(full.Count(), n * n) << n;
+      }
+      BitMatrix fresh(n);
+      EXPECT_TRUE(fresh.None()) << n;
+      EXPECT_EQ(fresh.Count(), 0u) << n;
+    }
+  }
+}
+
+TEST(BitMatrixTest, CopiesAndEqualityIgnoreStorageOrigin) {
+  for (std::size_t n : {1, 67, 4096}) {
+    BitMatrix a(n);
+    a.Set(0, n - 1);
+    a.Set(n - 1, 0);
+    const BitMatrix copy = a;
+    EXPECT_EQ(copy, a) << n;
+    EXPECT_EQ(copy.Count(), a.Count()) << n;
+    BitMatrix assigned(n);
+    EXPECT_NE(assigned, a) << n;
+    assigned = copy;
+    EXPECT_EQ(assigned, a) << n;
+    a.Reset(0, n - 1);
+    EXPECT_NE(copy, a) << n;  // the copy owns its words
+    EXPECT_EQ(BitMatrix(n), BitMatrix(n)) << n;
+    EXPECT_NE(BitMatrix(n), BitMatrix(n + 1)) << n;
+
+    const BitMatrix id = BitMatrix::Identity(n);
+    EXPECT_EQ(id.Count(), n) << n;
+    EXPECT_EQ(id.Multiply(copy), copy) << n;
+    const BitMatrix full = BitMatrix::Full(n);
+    EXPECT_EQ(full.Count(), n * n) << n;
+    EXPECT_EQ(full, BitMatrix(n).Complement()) << n;
+    EXPECT_TRUE(full.Complement().None()) << n;
+  }
+}
+
 TEST(BitMatrixTest, ComplementRespectsPadding) {
   BitMatrix m(67);
   BitMatrix c = m.Complement();

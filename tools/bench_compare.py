@@ -14,7 +14,9 @@ so what is detected is a section slowing down *relative to the rest of
 the suite*, not the hardware. A section's score is the geometric mean of
 its normalized ratios; score > 1 + threshold fails. A flagged benchmark
 name that exists in the baseline but not in the candidate also fails:
-silently losing a measured config is itself a regression.
+silently losing a measured config is itself a regression. So does a
+candidate with no benchmark at all in a flagged or REQUIRED_SECTIONS
+family.
 
 Usage: tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 """
@@ -41,6 +43,15 @@ FLAGGED_SECTIONS = [
     "BM_ChainReassociation",
     "BM_SnapshotSaveLoad",
     "BM_SpillThrash",
+    "BM_DensifyRunList",
+]
+
+# Families that carry no timing bar but must still be measured: a run
+# whose candidate lacks any family here or in FLAGGED_SECTIONS fails, so
+# a new family is registered in exactly one place.
+REQUIRED_SECTIONS = [
+    "BM_MaterializeAll",
+    "BM_MillionNodeAxisMemory",
 ]
 
 # Absolute acceptance bars on measured counters, independent of the
@@ -144,6 +155,11 @@ def main():
             norm = 1.0
 
     errors = []
+    cand_sections = {section_of(n) for n in cand}
+    for section in FLAGGED_SECTIONS + REQUIRED_SECTIONS:
+        if section not in cand_sections:
+            errors.append(f"{section}: required section missing from "
+                          f"candidate")
     for section in FLAGGED_SECTIONS:
         in_base = [n for n in base if section_of(n) == section]
         in_cand = [n for n in cand if section_of(n) == section]
