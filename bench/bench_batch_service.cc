@@ -299,11 +299,12 @@ BENCHMARK(BM_ShapeFromRootExcept)->Arg(4096)->Arg(16384)->Arg(65536)
 // cubically with the tree (the 3-variable descendant chain has
 // (n-1)^2 n answers on a path of n nodes -- 500k at n=80, 3.9M at
 // n=140, 7.9M at n=200), against materializing the full tuple set
-// through the batch path (smaller sizes, 25k at n=30 and 120k at n=50:
-// the Fig. 8 machinery already needs seconds where the stream's first
-// page costs a tenth of a millisecond). First-K time must stay flat as
-// the answer count explodes; materialize-all grows with it. CI fails
-// if this section goes missing from BENCH_batch_service.json.
+// through the batch path (smaller sizes, 25k at n=30 and 120k at n=50).
+// The batch job drains the same enumerator the stream pulls from, so
+// materialize-all pays that drain plus one TupleSet insert per answer.
+// First-K time must stay flat as the answer count explodes;
+// materialize-all grows with it. CI fails if this section goes missing
+// from BENCH_batch_service.json.
 
 const char* kStreamBenchQuery = "$x/descendant::*/$y/descendant::*/$z";
 
@@ -360,6 +361,93 @@ void BM_MaterializeAll(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(answers);
 }
 BENCHMARK(BM_MaterializeAll)->Arg(30)->Arg(50)
+    ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------ n-ary batch vs stream drain
+//
+// A batch n-ary job drains the backing a stream over the same query
+// pulls (engine/query_stream.h, internal::NaryBacking), so the two must
+// cost about the same. BM_NaryBatchVsDrain times one cold job both ways
+// on BibliographyTree(seed 7) with 50 / 100 books (257 / 497 nodes):
+// drain = 0 runs QueryService::Evaluate at kFullRelation, drain = 1
+// drains OpenStream in pages of 1024. Each iteration uses a fresh
+// service over the caller-owned tree, so axis relations are rebuilt.
+// query 0 is `descendant::book/$x/child::author/$y`, query 1
+// `$x/child::author/$y`; both are ACQs and run on the enumerator.
+// BM_NaryUnionBatch keeps the Fig. 8 answerer measured: the batch job of
+// the union template below, which has no ACQ form.
+
+const char* const kNaryBatchQueries[] = {
+    "descendant::book/$x/child::author/$y",
+    "$x/child::author/$y",
+};
+
+Tree Bibliography(std::size_t books) {
+  Rng rng(7);
+  return BibliographyTree(rng, books);
+}
+
+void BM_NaryBatchVsDrain(benchmark::State& state) {
+  Tree t = Bibliography(static_cast<std::size_t>(state.range(0)));
+  const char* query = kNaryBatchQueries[state.range(1)];
+  const bool drain = state.range(2) != 0;
+  std::size_t tuples = 0;
+  for (auto _ : state) {
+    engine::QueryService service({.num_threads = 1});
+    tuples = 0;
+    if (drain) {
+      auto stream = service.OpenStream(t, query);
+      if (!stream.ok()) {
+        state.SkipWithError(stream.status().ToString().c_str());
+        return;
+      }
+      while (true) {
+        auto page = stream->NextBatch(1024);
+        if (!page.ok()) {
+          state.SkipWithError(page.status().ToString().c_str());
+          return;
+        }
+        if (page->empty()) break;
+        tuples += page->size();
+        benchmark::DoNotOptimize(*page);
+      }
+    } else {
+      engine::QueryResult result = service.Evaluate(t, query);
+      if (!result.status.ok()) {
+        state.SkipWithError(result.status.ToString().c_str());
+        return;
+      }
+      tuples = result.tuples.size();
+      benchmark::DoNotOptimize(result);
+    }
+  }
+  state.counters["nodes"] = static_cast<double>(t.size());
+  state.counters["tuples"] = static_cast<double>(tuples);
+}
+BENCHMARK(BM_NaryBatchVsDrain)
+    ->ArgsProduct({{50, 100}, {0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_NaryUnionBatch(benchmark::State& state) {
+  Tree t = Bibliography(static_cast<std::size_t>(state.range(0)));
+  const char* query =
+      "descendant::book/$x/(child::author union child::title)/$y";
+  std::size_t tuples = 0;
+  for (auto _ : state) {
+    engine::QueryService service({.num_threads = 1});
+    engine::QueryResult result = service.Evaluate(t, query);
+    if (!result.status.ok() ||
+        result.plan.backing != engine::StreamBacking::kMaterialized) {
+      state.SkipWithError("expected a working Fig. 8 (materialized) job");
+      return;
+    }
+    tuples = result.tuples.size();
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["nodes"] = static_cast<double>(t.size());
+  state.counters["tuples"] = static_cast<double>(tuples);
+}
+BENCHMARK(BM_NaryUnionBatch)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------- axis materialization cost

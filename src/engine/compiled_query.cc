@@ -59,7 +59,7 @@ Result<std::shared_ptr<const CompiledQuery>> CompileQuery(
     q->admissible.push_back(EnginePlan::kMatrixGeneral);
   } else {
     // Variables present: must be PPL; Fig. 7 into HCL-(PPLbin) for the
-    // output-sensitive n-ary answering machinery.
+    // n-ary answering machinery.
     XPV_RETURN_IF_ERROR(xpath::CheckPpl(*path));
     XPV_ASSIGN_OR_RETURN(hcl::HclPtr c, hcl::PplToHcl(*path));
     q->hcl = std::move(c);
@@ -73,7 +73,7 @@ Result<std::shared_ptr<const CompiledQuery>> CompileQuery(
     // surface syntax has no '$').
     q->canonical_text = path->ToString();
     // Enumerability (Prop. 8): a union-free image converts to an ACQ; if
-    // that ACQ is alpha-acyclic, streams can enumerate it with
+    // that ACQ is alpha-acyclic, jobs and streams enumerate it with
     // polynomial delay. Both facts are tree-independent.
     Result<fo::ConjunctiveQuery> cq =
         fo::HclToConjunctive(*q->hcl, q->tuple_vars);

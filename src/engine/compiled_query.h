@@ -15,8 +15,9 @@
 //   kMatrixGeneral -- any variable-free query (complement included): the
 //                     Section 4 Boolean-matrix engine, O(|P| |t|^3 / 64).
 //   kNaryAnswer    -- queries with free variables inside PPL: translated to
-//                     HCL-(PPLbin) (Fig. 7) and answered by the
-//                     output-sensitive Section 7 machinery.
+//                     HCL-(PPLbin) (Fig. 7); union-free, alpha-acyclic
+//                     images are enumerated as ACQs (Prop. 8), unions
+//                     answered by the Section 7 machinery (Fig. 8).
 //
 // A positive PPLbin query admits both kGkpPositive and kMatrixGeneral; a
 // general one only kMatrixGeneral; an n-ary one only kNaryAnswer.
@@ -88,10 +89,10 @@ struct CompiledQuery {
   /// planner's cost model.
   std::size_t hcl_size = 0;
   /// The Proposition 8 ACQ form of the HCL image, when it is union-free
-  /// and alpha-acyclic -- the class the streaming subsystem can serve by
-  /// polynomial-delay enumeration (fo/enumerate.h) instead of
-  /// materializing the answer set. Null when not enumerable (unions);
-  /// tree-independent, so computed once at compile time.
+  /// and alpha-acyclic -- the class every n-ary job and stream serves by
+  /// polynomial-delay enumeration (fo/enumerate.h) instead of the Fig. 8
+  /// answer set. Null when not enumerable (unions), which routes the
+  /// query to Fig. 8; tree-independent, so computed once at compile time.
   std::shared_ptr<const fo::ConjunctiveQuery> acq;
 
   bool Admits(EnginePlan engine) const;

@@ -494,62 +494,35 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
       static_cast<double>(std::max<std::size_t>(tree.Stats().node_count, 1));
 
   if (q.pplbin == nullptr) {
-    // N-ary queries have exactly one engine; the shape selects the
-    // payload derived from the answer set -- except kTupleStream, where
-    // the planner additionally picks the stream backing.
+    // N-ary queries have exactly one engine, and the query class alone
+    // picks its backing for every shape: the Prop. 8 enumerator for ACQs,
+    // the Fig. 8 answer set for unions. Batch shapes drain the backing a
+    // stream would pull; the shape selects the payload.
     plan.engine = EnginePlan::kNaryAnswer;
-    plan.cost = n * n;
-    if (shape != ResultShape::kTupleStream) return plan;
     if (q.acq == nullptr) {
-      // Unions are outside the enumerable (Prop. 8) class: the stream
-      // serves a cursor over the materialized Fig. 8 answer set.
       plan.backing = StreamBacking::kMaterialized;
       plan.cost = n * n * static_cast<double>(std::max<std::size_t>(
                               q.hcl_size, 1));
       return plan;
     }
-    // Enumeration vs materialization. Enumeration pays, in word ops,
-    //   preprocessing: materializing one n x n relation per atom plus
-    //   the two semijoin passes, ~3 |atoms| n wpr(n), then
-    //   delay: ~|vars| wpr(n) per emitted tuple;
-    // materialization pays the Fig. 8 machinery, ~n^2 |C| word ops for
-    // the MC table -- but also O(|answers|) MEMORY, up to n^arity.
-    //
-    // With a bounded limit the op costs are comparable and decide: a
-    // small limit amortizes preprocessing over few tuples (enumerator),
-    // a huge limit on a tiny tree materializes outright. With limit 0
-    // (drain everything) the answer-set memory is the binding
-    // constraint, so every tree beyond kTinyTree enumerates whenever it
-    // can -- only trees whose whole n^2 universe is trivially small
-    // materialize.
+    // The enumerator pays, in word ops, preprocessing -- one n x n
+    // relation per atom plus the two semijoin passes, ~3 |atoms| n wpr(n)
+    // -- then ~|vars| wpr(n) of delay per emitted tuple. A boolean job
+    // stops at the first tuple, a bounded stream at its limit (offset +
+    // limit), and every other shape drains an answer set estimated at
+    // n^2 tuples.
     const double atoms = static_cast<double>(
         std::max<std::size_t>(q.acq->atoms.size(), 1));
     const double vars = atoms + 1.0;
-    const double enum_preproc = 3.0 * atoms * n * WordsPerRow(n);
-    const double enum_delay = vars * WordsPerRow(n);
-    const double mat_cost =
-        n * n * static_cast<double>(std::max<std::size_t>(q.hcl_size, 1)) +
-        n * n;
-    constexpr double kTinyTree = 64;
-    bool enumerate;
-    double enum_cost;
-    if (stream_limit == 0) {
-      enum_cost = enum_preproc + n * n * enum_delay;
-      enumerate = n > kTinyTree;
-    } else {
-      enum_cost =
-          enum_preproc + static_cast<double>(stream_limit) * enum_delay;
-      enumerate = enum_cost <= mat_cost;
+    double tuples = n * n;
+    if (shape == ResultShape::kBoolean) {
+      tuples = 1.0;
+    } else if (shape == ResultShape::kTupleStream && stream_limit != 0) {
+      tuples = std::min(tuples, static_cast<double>(stream_limit));
     }
-    if (enumerate) {
-      plan.backing = StreamBacking::kEnumerator;
-      plan.cost = enum_cost;
-      plan.alternative_cost = mat_cost;
-    } else {
-      plan.backing = StreamBacking::kMaterialized;
-      plan.cost = mat_cost;
-      plan.alternative_cost = enum_cost;
-    }
+    plan.backing = StreamBacking::kEnumerator;
+    plan.cost = 3.0 * atoms * n * WordsPerRow(n) +
+                tuples * vars * WordsPerRow(n);
     return plan;
   }
 

@@ -13,7 +13,9 @@
 //   kMatrixGeneral  dense: O(|P| |t|^3 / 64)   image sweep: O(|P| |t|)
 //                   sparse: O(runs merged)     + one sub-matrix per `except`
 //                                              reached from many sources
-//   kNaryAnswer     output-sensitive Section 7 machinery
+//   kNaryAnswer     ACQs: Prop. 8 enumeration, O(|atoms| |t|^2 / 64)
+//                   preprocessing + O(|vars| |t| / 64) per tuple;
+//                   unions: the Fig. 8 answer set
 //
 // A full relation takes the cheapest admissible of three routes: GKP
 // (positive queries only), matrix-dense, and matrix-sparse (when its
@@ -82,22 +84,23 @@ enum class ResultShape {
 
 std::string_view ResultShapeName(ResultShape shape);
 
-/// How a kTupleStream plan produces its tuples (kNone for every other
-/// shape). The choice never changes the tuple *set*, only delay and
-/// memory; it does change the deterministic stream *order* (documented
-/// on QueryStream), which is why the planner's pick is a pure function
-/// of (query, tree stats, limit).
+/// How an n-ary plan (every shape) or a kTupleStream plan produces its
+/// tuples; kNone for binary plans of the batch shapes. N-ary plans pick
+/// the backing from the query class alone, and a batch job drains the
+/// same backing a stream pulls from (engine/query_stream.h,
+/// internal::NaryBacking). The backing fixes the deterministic stream
+/// *order* (documented on QueryStream), never the tuple *set*.
 enum class StreamBacking {
   kNone,
   /// Binary query: the monadic from-root node set, streamed as 1-tuples
   /// in ascending node order.
   kNodeSet,
-  /// Enumerable n-ary query (union-free, alpha-acyclic): Yannakakis
-  /// polynomial-delay enumeration with bounded memory (fo/enumerate.h).
+  /// Enumerable n-ary query (union-free, alpha-acyclic -- the Prop. 8
+  /// ACQ class, CompiledQuery::acq): Yannakakis polynomial-delay
+  /// enumeration with bounded memory (fo/enumerate.h).
   kEnumerator,
-  /// Non-enumerable (union) or cheap-to-materialize n-ary query: the
-  /// Fig. 8 answer set is materialized once on first read and served
-  /// from a cursor in lexicographic order.
+  /// Non-enumerable n-ary query (unions): the Fig. 8 answer set is
+  /// materialized once and served from a cursor in lexicographic order.
   kMaterialized,
 };
 
@@ -114,7 +117,7 @@ struct ExecutionPlan {
   /// kMatrixGeneral for them, and a forced kGkpPositive plan runs the
   /// same sweep.
   bool row_restricted = false;
-  /// kTupleStream plans only: how the stream produces tuples.
+  /// N-ary plans and kTupleStream plans: how the tuples are produced.
   StreamBacking backing = StreamBacking::kNone;
   /// Matrix-engine plans that materialize relations (full relations, and
   /// monadic plans whose sweep builds a sub-matrix for a complement
@@ -168,13 +171,13 @@ struct ExecutionPlan {
 /// Pure and non-blocking: reads only the precomputed Tree::Stats(), never
 /// fails, and is safe to call concurrently from any number of threads.
 ///
-/// `stream_limit` matters only for kTupleStream plans: it is the
-/// caller's requested tuple budget (offset + limit; 0 = drain
-/// everything) and steers the enumeration-vs-materialization choice --
-/// a small limit amortizes the enumerator's preprocessing over few
-/// tuples but skips materializing an answer set the caller will never
-/// read. Stream plans are NOT memoized in the PlanMemo (their key would
-/// need the limit); OpenStream plans per call, which is cheap.
+/// `stream_limit` matters only for kTupleStream plans of ACQ queries: it
+/// is the caller's requested tuple budget (offset + limit; 0 = drain
+/// everything) and enters only `cost` (enumerator preprocessing plus
+/// the expected tuple count times the delay), never the backing, which
+/// the query class alone decides. Stream plans are NOT memoized in the
+/// PlanMemo (their key would need the limit); OpenStream plans per
+/// call, which is cheap.
 /// `force_repr` (tests, ablations) pins the matrix representation the
 /// plan executes with, bypassing the crossover (and, in QueryService, the
 /// PlanMemo -- forced plans are never memoized).
@@ -202,7 +205,7 @@ ExecutionPlan PlanQuery(const CompiledQuery& q, const Tree& tree,
                         bool force_parse_order = false);
 
 /// True when executing `plan` for `q` must materialize at least one dense
-/// |t| x |t| BitMatrix: every kNaryAnswer plan (the HCL / Fig. 8
+/// |t| x |t| BitMatrix: every kNaryAnswer plan (the n-ary
 /// machinery is dense end-to-end), kFullRelation shapes on non-matrix
 /// engines (their answer IS a dense matrix), and matrix plans whose
 /// chosen representation is kDense when the execution materializes

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "hcl/answer.h"
+#include "fo/tuple_dedup.h"
 #include "ppl/gkp_engine.h"
 #include "ppl/matrix_engine.h"
 
@@ -77,6 +77,36 @@ void FinishMonadic(QueryResult& result, ResultShape shape, BitVector image) {
     case ResultShape::kCount:
       result.count = image.Count();
       return;
+  }
+}
+
+/// Drains an n-ary backing into the payload the shape asks for: kBoolean
+/// stops at the first tuple, kCount keeps no tuples, and the tuple
+/// shapes collect every one (hinted at the end: the materialized backing
+/// emits in order). A failed drain leaves no partial payload.
+Status FinishNary(QueryResult& result, ResultShape shape,
+                  internal::NaryBacking& backing) {
+  while (true) {
+    Result<std::optional<xpath::NodeTuple>> next = backing.Next();
+    if (!next.ok()) {
+      result.tuples.clear();
+      result.count = 0;
+      return next.status();
+    }
+    if (!next->has_value()) return Status::OK();
+    switch (shape) {
+      case ResultShape::kFullRelation:
+      case ResultShape::kFromRootSet:
+      case ResultShape::kTupleStream:  // unreachable: rejected in RunJob
+        result.tuples.emplace_hint(result.tuples.end(), std::move(**next));
+        break;
+      case ResultShape::kBoolean:
+        result.boolean = true;
+        return Status::OK();
+      case ResultShape::kCount:
+        ++result.count;
+        break;
+    }
   }
 }
 
@@ -328,37 +358,16 @@ QueryResult QueryService::RunJob(
       return result;
     }
     case EnginePlan::kNaryAnswer: {
-      // The one potentially long-running engine: thread the batch's
-      // cancel token into it so an in-flight n-ary evaluation observes
-      // BatchHandle::Cancel and expired deadlines mid-run.
-      hcl::AnswerOptions answer_options;
-      answer_options.cancel = cancel;
-      hcl::QueryAnswerer answerer(t, *q.hcl, q.tuple_vars, answer_options,
-                                  target.cache);
-      Status prepared = answerer.Prepare();
-      if (!prepared.ok()) {
-        result.status = prepared;
-        return result;
-      }
-      Result<xpath::TupleSet> answered = answerer.Answer();
-      if (!answered.ok()) {
-        result.status = answered.status();
-        return result;
-      }
-      xpath::TupleSet tuples = std::move(answered).value();
-      switch (plan.shape) {
-        case ResultShape::kFullRelation:
-        case ResultShape::kFromRootSet:
-        case ResultShape::kTupleStream:  // unreachable: rejected above
-          result.tuples = std::move(tuples);
-          break;
-        case ResultShape::kBoolean:
-          result.boolean = !tuples.empty();
-          break;
-        case ResultShape::kCount:
-          result.count = tuples.size();
-          break;
-      }
+      // The backing a stream over this query would pull, drained into
+      // the payload. The batch's cancel token reaches its preprocessing
+      // and every enumeration step, so BatchHandle::Cancel and expired
+      // deadlines stop an in-flight n-ary job mid-run.
+      Result<internal::NaryBacking> backing = internal::NaryBacking::Build(
+          q, plan.backing, target, cancel,
+          fo::TupleDedupOptions().max_bytes);
+      result.status = backing.ok()
+                          ? FinishNary(result, plan.shape, *backing)
+                          : backing.status();
       return result;
     }
   }

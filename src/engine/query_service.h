@@ -8,10 +8,10 @@
 //      tree-independent CompiledQuery recording every admissible engine,
 //   2. plans each job per (compiled query, tree, result shape) with the
 //      cost-based planner (engine/planner.h), choosing GkpEngine (full
-//      relations), MatrixEngine, or the Section 7 answer machinery from
-//      Tree::Stats and taking the matrix engine's monadic row-restricted
-//      fast path when the caller only consumes a node set / boolean /
-//      count,
+//      relations), MatrixEngine, or the n-ary answer machinery (Prop. 8
+//      enumeration for ACQs, Fig. 8 for unions) from Tree::Stats and
+//      taking the matrix engine's monadic row-restricted fast path when
+//      the caller only consumes a node set / boolean / count,
 //   3. executes jobs across a fixed thread pool with a *shard-aware*
 //      scheduler: jobs are grouped by the DocumentStore shard their
 //      document resides in, each worker drains "its" shard group first
@@ -38,7 +38,7 @@
 // kDeadlineExceeded/kCancelled without running -- AND inside running
 // jobs. N-ary answering, GKP full relations and every matrix-engine
 // evaluation observe the batch's CancelToken and stop cooperatively with
-// the same statuses: n-ary answering between recursion steps, GKP
+// the same statuses: n-ary answering between DFS or recursion steps, GKP
 // between source rows, the matrix engine at each interior node of a
 // relation (on entry and between its operands and its own product) and
 // at each step of the from-root image sweep behind monadic jobs and

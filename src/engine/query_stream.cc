@@ -25,9 +25,87 @@ Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
   return image;
 }
 
+namespace {
+
+/// Rough resident estimate of a materialized TupleSet: per tuple, one
+/// red-black node + the NodeTuple vector header + its elements.
+std::size_t MaterializedBytes(const xpath::TupleSet& tuples,
+                              std::size_t arity) {
+  constexpr std::size_t kSetNodeOverhead = 64;   // rb-node + color + padding
+  constexpr std::size_t kVectorOverhead = 24;    // NodeTuple header
+  return tuples.size() *
+         (kSetNodeOverhead + kVectorOverhead + arity * sizeof(NodeId));
+}
+
+}  // namespace
+
+Result<NaryBacking> NaryBacking::Build(const CompiledQuery& q,
+                                       StreamBacking backing,
+                                       const JobTarget& target,
+                                       CancelToken cancel,
+                                       std::size_t max_dedup_bytes) {
+  NaryBacking out;
+  switch (backing) {
+    case StreamBacking::kEnumerator: {
+      fo::AcqEnumeratorOptions options;
+      options.cancel = cancel;
+      options.dedup.max_bytes = max_dedup_bytes;
+      options.axis_cache = target.cache;
+      Result<fo::AcqEnumerator> e =
+          fo::AcqEnumerator::Create(*target.tree, *q.acq, std::move(options));
+      if (!e.ok()) return e.status();
+      out.enumerator_.emplace(std::move(e).value());
+      return out;
+    }
+    case StreamBacking::kMaterialized: {
+      hcl::AnswerOptions options;
+      options.cancel = cancel;
+      hcl::QueryAnswerer answerer(*target.tree, *q.hcl, q.tuple_vars, options,
+                                  target.cache);
+      XPV_RETURN_IF_ERROR(answerer.Prepare());
+      Result<xpath::TupleSet> answers = answerer.Answer();
+      if (!answers.ok()) return answers.status();
+      out.answers_ =
+          std::make_unique<xpath::TupleSet>(std::move(answers).value());
+      out.cursor_ = out.answers_->begin();
+      out.answers_bytes_ =
+          MaterializedBytes(*out.answers_, q.tuple_vars.size());
+      return out;
+    }
+    case StreamBacking::kNone:
+    case StreamBacking::kNodeSet:
+      break;
+  }
+  return Status::Internal("plan has no n-ary backing");
+}
+
+Result<std::optional<xpath::NodeTuple>> NaryBacking::Next() {
+  if (enumerator_.has_value()) return enumerator_->Next();
+  if (cursor_ == answers_->end()) return std::optional<xpath::NodeTuple>();
+  return std::optional<xpath::NodeTuple>(*cursor_++);
+}
+
+std::size_t NaryBacking::FastSkip(std::size_t count) {
+  std::size_t skipped = 0;
+  if (answers_ == nullptr) return skipped;
+  while (skipped < count && cursor_ != answers_->end()) {
+    ++cursor_;
+    ++skipped;
+  }
+  return skipped;
+}
+
+std::size_t NaryBacking::resident_bytes() const {
+  return enumerator_.has_value() ? enumerator_->resident_bytes()
+                                 : answers_bytes_;
+}
+
+std::size_t NaryBacking::dedup_entries() const {
+  return enumerator_.has_value() ? enumerator_->dedup_entries() : 0;
+}
+
 void StreamState::ReleaseResources() {
-  enumerator.reset();
-  materialized.reset();
+  nary.reset();
   node_set.reset();
   backing_built = false;
   target = {};
@@ -45,16 +123,6 @@ void StreamState::ReleaseResources() {
 
 namespace {
 
-/// Rough resident estimate of a materialized TupleSet: per tuple, one
-/// red-black node + the NodeTuple vector header + its elements.
-std::size_t MaterializedBytes(const xpath::TupleSet& tuples,
-                              std::size_t arity) {
-  constexpr std::size_t kSetNodeOverhead = 64;   // rb-node + color + padding
-  constexpr std::size_t kVectorOverhead = 24;    // NodeTuple header
-  return tuples.size() *
-         (kSetNodeOverhead + kVectorOverhead + arity * sizeof(NodeId));
-}
-
 /// Builds the stream's backing; returns non-OK (without marking state)
 /// when evaluation fails or the token fires mid-build.
 Status BuildBacking(StreamState& s) {
@@ -62,28 +130,14 @@ Status BuildBacking(StreamState& s) {
   switch (s.plan.backing) {
     case StreamBacking::kNone:
       return Status::Internal("stream plan has no backing");
-    case StreamBacking::kEnumerator: {
-      fo::AcqEnumeratorOptions options;
-      options.cancel = CancelToken(&s.cancelled, s.options.deadline);
-      options.dedup.max_bytes = s.options.max_dedup_bytes;
-      options.axis_cache = s.target.cache;
-      Result<fo::AcqEnumerator> e = fo::AcqEnumerator::Create(
-          *s.target.tree, *q.acq, std::move(options));
-      if (!e.ok()) return e.status();
-      s.enumerator.emplace(std::move(e).value());
-      break;
-    }
+    case StreamBacking::kEnumerator:
     case StreamBacking::kMaterialized: {
-      hcl::AnswerOptions options;
-      options.cancel = CancelToken(&s.cancelled, s.options.deadline);
-      hcl::QueryAnswerer answerer(*s.target.tree, *q.hcl, q.tuple_vars,
-                                  options, s.target.cache);
-      XPV_RETURN_IF_ERROR(answerer.Prepare());
-      Result<xpath::TupleSet> answers = answerer.Answer();
-      if (!answers.ok()) return answers.status();
-      s.materialized.emplace(std::move(answers).value());
-      s.mat_it = s.materialized->begin();
-      s.mat_bytes = MaterializedBytes(*s.materialized, s.arity);
+      Result<NaryBacking> nary = NaryBacking::Build(
+          q, s.plan.backing, s.target,
+          CancelToken(&s.cancelled, s.options.deadline),
+          s.options.max_dedup_bytes);
+      if (!nary.ok()) return nary.status();
+      s.nary.emplace(std::move(nary).value());
       break;
     }
     case StreamBacking::kNodeSet: {
@@ -107,14 +161,10 @@ Status BuildBacking(StreamState& s) {
 void FastSkip(StreamState& s) {
   switch (s.plan.backing) {
     case StreamBacking::kNone:
-    case StreamBacking::kEnumerator:
       return;
+    case StreamBacking::kEnumerator:
     case StreamBacking::kMaterialized:
-      while (s.skipped < s.options.offset &&
-             s.mat_it != s.materialized->end()) {
-        ++s.mat_it;
-        ++s.skipped;
-      }
+      s.skipped += s.nary->FastSkip(s.options.offset - s.skipped);
       return;
     case StreamBacking::kNodeSet:
       while (s.skipped < s.options.offset) {
@@ -134,13 +184,8 @@ Result<std::optional<xpath::NodeTuple>> PullOne(StreamState& s) {
     case StreamBacking::kNone:
       return Status::Internal("stream plan has no backing");
     case StreamBacking::kEnumerator:
-      return s.enumerator->Next();
-    case StreamBacking::kMaterialized: {
-      if (s.mat_it == s.materialized->end()) {
-        return std::optional<xpath::NodeTuple>();
-      }
-      return std::optional<xpath::NodeTuple>(*s.mat_it++);
-    }
+    case StreamBacking::kMaterialized:
+      return s.nary->Next();
     case StreamBacking::kNodeSet: {
       const std::size_t pos = s.node_set->NextSet(s.node_pos);
       if (pos >= s.node_set->size()) {
@@ -276,11 +321,9 @@ StreamStats QueryStream::stats() const {
   stats.closed = s.closed;
   stats.status = s.failed;
   stats.plan = s.plan;
-  if (s.enumerator.has_value()) {
-    stats.backing_bytes = s.enumerator->resident_bytes();
-    stats.dedup_entries = s.enumerator->dedup_entries();
-  } else if (s.materialized.has_value()) {
-    stats.backing_bytes = s.mat_bytes;
+  if (s.nary.has_value()) {
+    stats.backing_bytes = s.nary->resident_bytes();
+    stats.dedup_entries = s.nary->dedup_entries();
   } else if (s.node_set.has_value()) {
     stats.backing_bytes =
         s.node_set->words().capacity() * sizeof(std::uint64_t);

@@ -5,18 +5,21 @@
 // A QueryStream is a pull-based cursor returned by
 // QueryService::OpenStream. Instead of materializing a potentially
 // O(|t|^k) tuple set into a QueryResult, the stream produces tuples
-// incrementally, from one of three backings chosen by the planner
-// (engine/planner.h, StreamBacking):
+// incrementally, from one of three backings the planner picks by query
+// class (engine/planner.h, StreamBacking):
 //
 //   kEnumerator    enumerable n-ary queries (union-free, alpha-acyclic
 //                  Prop. 8 image): Yannakakis polynomial-delay
 //                  enumeration (fo/enumerate.h). First-tuple latency and
 //                  peak memory are independent of the answer count.
-//   kMaterialized  n-ary queries with unions (or drain-everything
-//                  streams on small trees): the Fig. 8 answer set is
+//   kMaterialized  n-ary queries with unions: the Fig. 8 answer set is
 //                  materialized on first read and served from a cursor.
 //   kNodeSet       binary (variable-free) queries: the monadic
 //                  from-root node set, streamed as 1-tuples.
+//
+// The two n-ary backings are internal::NaryBacking, which batch jobs
+// drain too: a kNaryAnswer job and a stream over the same query run the
+// same preprocessing and produce the same tuples.
 //
 // Stream order is deterministic per (query, tree, options) -- identical
 // across NextBatch chunk sizes, service thread counts, and repeats --
@@ -87,11 +90,9 @@ struct StreamOptions {
   std::size_t limit = 0;
   /// Tuples skipped before the first one is produced -- the resume
   /// cursor: reopening a stream with offset = previous stats().cursor
-  /// continues exactly where the previous stream stopped, PROVIDED the
-  /// planner picks the same backing (stream order is deterministic per
-  /// backing, and the backing depends on whether `limit` is bounded --
-  /// see planner.h). Keep the same limit discipline across resumes, and
-  /// check stats().plan.backing when in doubt.
+  /// continues exactly where the previous stream stopped (stream order
+  /// is deterministic per backing, and the backing depends only on the
+  /// query class -- see planner.h).
   std::size_t offset = 0;
   /// Observed inside NextBatch (between tuples) and inside the backing
   /// enumerator/answerer, not just between calls.
@@ -213,6 +214,46 @@ Result<BitVector> EvaluateFromRoot(const CompiledQuery& q,
                                    CancelToken cancel,
                                    ppl::MatrixEngineStats* stats);
 
+/// The tuple producer of an n-ary plan (kEnumerator or kMaterialized),
+/// shared by both consumers: a stream pulls it tuple by tuple, and a
+/// batch job drains it into its payload. Move-only.
+class NaryBacking {
+ public:
+  /// Runs the backing's preprocessing on `target`: the enumerator's
+  /// semijoin reduction, or the whole Fig. 8 answer set. Observes
+  /// `cancel` there and, for the enumerator, between DFS steps.
+  /// `max_dedup_bytes` bounds the enumerator's projection dedup
+  /// (fo/tuple_dedup.h); it is unused when the projection is injective.
+  static Result<NaryBacking> Build(const CompiledQuery& q,
+                                   StreamBacking backing,
+                                   const JobTarget& target, CancelToken cancel,
+                                   std::size_t max_dedup_bytes);
+
+  /// The next distinct tuple; nullopt when exhausted. Errors
+  /// (kCancelled / kDeadlineExceeded / kResourceExhausted) are sticky.
+  Result<std::optional<xpath::NodeTuple>> Next();
+
+  /// Advances past up to `count` tuples without producing them where
+  /// the backing allows (the materialized cursor); returns how many were
+  /// skipped. The enumerator must produce to skip, so it skips none.
+  std::size_t FastSkip(std::size_t count);
+
+  /// Answer-dependent resident bytes: DFS frames + dedup, or the
+  /// materialized answer-set estimate.
+  std::size_t resident_bytes() const;
+  /// Distinct tuples remembered by the enumerator's dedup (0 otherwise).
+  std::size_t dedup_entries() const;
+
+ private:
+  NaryBacking() = default;
+
+  std::optional<fo::AcqEnumerator> enumerator_;
+  /// Heap-held so the cursor (end() included) survives moves.
+  std::unique_ptr<xpath::TupleSet> answers_;
+  xpath::TupleSet::const_iterator cursor_{};
+  std::size_t answers_bytes_ = 0;
+};
+
 /// The slice of QueryService's admission state shared with every stream
 /// (and batch) it admits: streams must release their inflight slot --
 /// and wake the dispatcher -- even if they outlive the service, so the
@@ -253,10 +294,7 @@ struct StreamState {
 
   // Backing, built lazily by the first NextBatch.
   bool backing_built = false;
-  std::optional<fo::AcqEnumerator> enumerator;
-  std::optional<xpath::TupleSet> materialized;
-  xpath::TupleSet::const_iterator mat_it{};
-  std::size_t mat_bytes = 0;
+  std::optional<NaryBacking> nary;
   std::optional<BitVector> node_set;
   std::size_t node_pos = 0;
 

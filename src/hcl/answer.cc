@@ -30,6 +30,7 @@ Status QueryAnswerer::Prepare() {
   // per-tree axis cache across every leaf of the composition (and with
   // the caller, e.g. other batch jobs on this tree, when one was given).
   if (axis_cache_ == nullptr) axis_cache_ = std::make_shared<AxisCache>(tree_);
+  std::set<const BinaryQuery*> same_rows;
   for (const BinaryQueryPtr& b : form_->binary_queries()) {
     XPV_RETURN_IF_ERROR(options_.cancel.CheckNow());
     XPV_ASSIGN_OR_RETURN(BitMatrix relation, b->EvaluateCached(axis_cache_));
@@ -39,7 +40,20 @@ Status QueryAnswerer::Prepare() {
         adj[u].push_back(static_cast<NodeId>(v));
       });
     }
+    if (std::all_of(adj.begin(), adj.end(),
+                    [&](const std::vector<NodeId>& row) {
+                      return row == adj.front();
+                    })) {
+      same_rows.insert(b.get());
+    }
     successors_.emplace(b.get(), std::move(adj));
+  }
+  row_independent_.assign(form_->num_subformulas(), false);
+  for (std::size_t id = 0; id < form_->num_subformulas(); ++id) {
+    const SharingExpr& d = form_->Subformula(static_cast<int>(id));
+    row_independent_[id] = d.kind == SharingKind::kCompose &&
+                           d.prefix->kind == PrefixKind::kBinary &&
+                           same_rows.contains(d.prefix->binary.get());
   }
 
   // MC table, computed for every (subformula, node) pair -- the dynamic
@@ -149,31 +163,44 @@ ValuationSet QueryAnswerer::Extend(
   return out;
 }
 
-ValuationSet QueryAnswerer::Vals(const SharingExpr& d, NodeId u) {
+const ValuationSet& QueryAnswerer::Vals(const SharingExpr& d, NodeId u,
+                                        ValuationSet& scratch) {
+  static const ValuationSet kNone;
   // Cooperative cancellation: once the token fires, the whole recursion
   // unwinds fast through empty sets (checked first, so an interrupted
   // run does no further work) and nothing more is memoized -- a partial
   // ValuationSet in the memo would corrupt later reuse.
-  if (!interrupted_.ok()) return {};
+  if (!interrupted_.ok()) return kNone;
   if (Status live = options_.cancel.Check(); !live.ok()) {
     interrupted_ = live;
-    return {};
+    return kNone;
   }
   // Fig. 8 line 3: filter unsatisfiable cases through the MC table.
   // (Under the no-filter ablation the table is all-ones, so every branch
   // is explored and dead valuations are discarded only at merge points.)
-  if (!Mc(d.id, u)) return {};
-  if (!options_.memoize_vals) return ValsCompute(d, u);
+  if (!Mc(d.id, u)) return kNone;
+  if (!options_.memoize_vals) {
+    scratch = ValsCompute(d, u);
+    return scratch;
+  }
+  // vals_memo_ never reallocates (sized in Prepare), so the reference
+  // stays valid across the recursive ValsCompute. A row-independent
+  // subformula has one slot for every u.
+  const NodeId slot_u = row_independent_[d.id] ? 0 : u;
   std::optional<ValuationSet>& memo =
-      vals_memo_[static_cast<std::size_t>(d.id) * tree_.size() + u];
+      vals_memo_[static_cast<std::size_t>(d.id) * tree_.size() + slot_u];
   if (memo.has_value()) return *memo;
   ValuationSet out = ValsCompute(d, u);
-  if (!interrupted_.ok()) return {};
-  // Note: vals_memo_ never reallocates (sized in Prepare), so taking the
-  // reference before the recursive ValsCompute would also be safe; assign
-  // after to keep the invariant simple.
-  vals_memo_[static_cast<std::size_t>(d.id) * tree_.size() + u] = out;
-  return out;
+  if (!interrupted_.ok()) return kNone;
+  memo = std::move(out);
+  return *memo;
+}
+
+ValuationSet QueryAnswerer::ValsOwned(const SharingExpr& d, NodeId u) {
+  ValuationSet scratch;
+  const ValuationSet& vals = Vals(d, u, scratch);
+  if (&vals == &scratch) return scratch;
+  return vals;
 }
 
 ValuationSet QueryAnswerer::ValsCompute(const SharingExpr& d, NodeId u) {
@@ -185,7 +212,7 @@ ValuationSet QueryAnswerer::ValsCompute(const SharingExpr& d, NodeId u) {
       out.insert(empty_valuation);
       break;
     case SharingKind::kParam:
-      out = Vals(form_->Def(d.param), u);
+      out = ValsOwned(form_->Def(d.param), u);
       break;
     case SharingKind::kUnion: {
       // Both branches are extended to be total on Var((D u D')_Delta)
@@ -193,8 +220,9 @@ ValuationSet QueryAnswerer::ValsCompute(const SharingExpr& d, NodeId u) {
       // deduplicates valuations that differ only on variables free in the
       // other branch.
       const std::vector<int> target = VarIndicesOf(d.id);
-      ValuationSet l = Extend(Vals(*d.left, u), target);
-      ValuationSet r = Extend(Vals(*d.right, u), target);
+      ValuationSet scratch;
+      ValuationSet l = Extend(Vals(*d.left, u, scratch), target);
+      ValuationSet r = Extend(Vals(*d.right, u, scratch), target);
       out = std::move(l);
       out.insert(r.begin(), r.end());
       break;
@@ -204,9 +232,15 @@ ValuationSet QueryAnswerer::ValsCompute(const SharingExpr& d, NodeId u) {
       switch (e.kind) {
         case PrefixKind::kBinary: {
           // vals(b/D', u) = union over successors u' of vals(D', u').
+          // Successors that share one memoized set (a row-independent
+          // continuation) contribute it once.
           const auto& adj = successors_.at(e.binary.get());
+          ValuationSet scratch;
+          const ValuationSet* merged = nullptr;
           for (NodeId v : adj[u]) {
-            const ValuationSet& sub = Vals(*d.left, v);
+            const ValuationSet& sub = Vals(*d.left, v, scratch);
+            if (&sub == merged) continue;
+            if (&sub != &scratch) merged = &sub;
             out.insert(sub.begin(), sub.end());
           }
           break;
@@ -215,7 +249,8 @@ ValuationSet QueryAnswerer::ValsCompute(const SharingExpr& d, NodeId u) {
           auto it = var_index_.find(e.var);
           if (it != var_index_.end()) {
             // x in x: bind x to u in every valuation of the continuation.
-            for (PartialValuation val : Vals(*d.left, u)) {
+            ValuationSet scratch;
+            for (PartialValuation val : Vals(*d.left, u, scratch)) {
               assert(val[it->second] == kNoNode &&
                      "NVS(/) guarantees x is unset in the continuation");
               val[it->second] = u;
@@ -223,14 +258,17 @@ ValuationSet QueryAnswerer::ValsCompute(const SharingExpr& d, NodeId u) {
             }
           } else {
             // x projected away: vals(D', u) unchanged.
-            out = Vals(*d.left, u);
+            out = ValsOwned(*d.left, u);
           }
           break;
         }
         case PrefixKind::kFilter: {
           // vals([D']/D'', u) = pairwise disjoint unions alpha' . alpha''.
-          const ValuationSet& filter_vals = Vals(*e.filter_body, u);
-          const ValuationSet& rest_vals = Vals(*d.left, u);
+          ValuationSet filter_scratch;
+          ValuationSet rest_scratch;
+          const ValuationSet& filter_vals =
+              Vals(*e.filter_body, u, filter_scratch);
+          const ValuationSet& rest_vals = Vals(*d.left, u, rest_scratch);
           for (const PartialValuation& a : filter_vals) {
             for (const PartialValuation& b : rest_vals) {
               PartialValuation merged = a;
@@ -258,9 +296,13 @@ Result<xpath::TupleSet> QueryAnswerer::Answer() {
   XPV_RETURN_IF_ERROR(interrupted_);
   // partial_vals = union over u of vals(D, u).
   ValuationSet partial_vals;
+  ValuationSet scratch;
+  const ValuationSet* merged = nullptr;
   for (NodeId u = 0; u < tree_.size(); ++u) {
-    const ValuationSet& at_u = Vals(form_->root(), u);
+    const ValuationSet& at_u = Vals(form_->root(), u, scratch);
     XPV_RETURN_IF_ERROR(interrupted_);
+    if (&at_u == merged) continue;  // a row-independent root's one set
+    if (&at_u != &scratch) merged = &at_u;
     partial_vals.insert(at_u.begin(), at_u.end());
   }
   // valuations = extend_{t,x}(partial_vals).

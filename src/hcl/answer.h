@@ -92,7 +92,15 @@ class QueryAnswerer {
 
  private:
   bool ComputeMc(const SharingExpr& d, NodeId u);
-  ValuationSet Vals(const SharingExpr& d, NodeId u);
+  /// vals(d, u), by reference: the memoized set itself, so a memo hit
+  /// copies nothing. An unmemoized set (the memoize_vals = false
+  /// ablation) is computed into `scratch`, which the caller keeps alive
+  /// while it reads the result.
+  const ValuationSet& Vals(const SharingExpr& d, NodeId u,
+                           ValuationSet& scratch);
+  /// vals(d, u) as an owned set: a copy of a memoized set, or the
+  /// unmemoized set itself (moved, not copied).
+  ValuationSet ValsOwned(const SharingExpr& d, NodeId u);
   ValuationSet ValsCompute(const SharingExpr& d, NodeId u);
   /// extend_{t,X}: extends every valuation to be total on the variable
   /// index set X (unset positions in X range over all nodes).
@@ -112,6 +120,11 @@ class QueryAnswerer {
   std::optional<SharingForm> form_;
   /// Successor lists per binary query (Prop. 10's precompiled structure).
   std::map<const BinaryQuery*, std::vector<std::vector<NodeId>>> successors_;
+  /// Per subformula id: true when it is b/D with every row of b the same
+  /// node set (e.g. nodes = (ancestor-or-self)/(descendant-or-self)), so
+  /// vals(d, u) and MC(d, u) do not depend on u. Its memoized set lives
+  /// in the u = 0 slot and serves every u.
+  std::vector<bool> row_independent_;
   /// MC table: -1 unknown, 0 false, 1 true; indexed [sub_id * |t| + u].
   std::vector<signed char> mc_;
   /// vals memoization; empty optional = not yet computed.

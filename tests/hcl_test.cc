@@ -273,6 +273,43 @@ TEST(AnswerTest, RepeatedTupleVariable) {
   EXPECT_EQ(*answers, (xpath::TupleSet{{1, 1}}));
 }
 
+// A binary query with one node set for every row -- the full relation,
+// the shape of Fig. 7's `nodes` prefix for a variable step -- makes
+// vals(b/D, u) the same at every u: the memo keeps one set for all of
+// them, and a composition over many successors merges it once. Answers
+// must not change, with memoization and under the no-memo ablation.
+TEST(AnswerTest, RowIndependentPrefixesMatchNaive) {
+  auto nodes_then = [](HclPtr rest) {
+    return HclExpr::Compose(HclExpr::Binary(MakeFullRelationQuery()),
+                            std::move(rest));
+  };
+  HclPtr c = HclExpr::Compose(
+      Ax(Axis::kDescendant, "a"),
+      nodes_then(HclExpr::Compose(
+          HclExpr::Var("x"),
+          HclExpr::Compose(
+              HclExpr::Union(Ax(Axis::kChild, "b"), Ax(Axis::kChild, "a")),
+              nodes_then(HclExpr::Var("y"))))));
+  const std::vector<std::string> vars = {"x", "y"};
+  Rng rng(31);
+  for (int trial = 0; trial < 12; ++trial) {
+    RandomTreeOptions opts;
+    opts.num_nodes = 1 + rng.Below(10);
+    Tree t = RandomTree(rng, opts);
+    const xpath::TupleSet naive = EvalHclNaryNaive(t, *c, vars);
+    for (bool memo : {true, false}) {
+      AnswerOptions options;
+      options.memoize_vals = memo;
+      QueryAnswerer answerer(t, *c, vars, options);
+      ASSERT_TRUE(answerer.Prepare().ok());
+      Result<xpath::TupleSet> answers = answerer.Answer();
+      ASSERT_TRUE(answers.ok()) << answers.status();
+      EXPECT_EQ(*answers, naive)
+          << "memo=" << memo << " tree=" << t.ToTerm();
+    }
+  }
+}
+
 // Randomized differential test: vals() vs the naive evaluator over random
 // HCL-(L) expressions with up to 3 variables on random trees.
 class RandomHclGen {

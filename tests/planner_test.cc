@@ -436,6 +436,78 @@ TEST(PlannerNaryShapeTest, ShapesDeriveFromTupleSet) {
   EXPECT_EQ(count.count, full.tuples.size());
 }
 
+// N-ary plans name their backing by query class alone: every shape of an
+// ACQ template enumerates (Prop. 8) and every shape of a union template
+// materializes the Fig. 8 answer set, on tiny and large trees and
+// whatever the stream limit; batch jobs run the backing their plan names.
+TEST(PlannerNaryShapeTest, BackingFollowsTheQueryClassForEveryShape) {
+  using engine::StreamBacking;
+  const std::vector<std::pair<std::string, StreamBacking>> templates = {
+      {"descendant::a/$x", StreamBacking::kEnumerator},
+      {"$x/child::*/$y", StreamBacking::kEnumerator},
+      {"descendant::*[child::a]/$x/child::*", StreamBacking::kEnumerator},
+      {"(descendant::a union descendant::b)/$y",
+       StreamBacking::kMaterialized},
+      {"descendant::a/$x/(child::b union child::a)/$y",
+       StreamBacking::kMaterialized},
+  };
+  const ResultShape shapes[] = {
+      ResultShape::kFullRelation, ResultShape::kFromRootSet,
+      ResultShape::kBoolean, ResultShape::kCount, ResultShape::kTupleStream};
+  for (std::size_t num_nodes : {6u, 64u, 400u}) {
+    Rng rng(num_nodes);
+    RandomTreeOptions opts;
+    opts.num_nodes = num_nodes;
+    Tree t = RandomTree(rng, opts);
+    engine::QueryService service({.num_threads = 1});
+    for (const auto& [text, backing] : templates) {
+      auto q = engine::CompileQuery(text);
+      ASSERT_TRUE(q.ok()) << text << ": " << q.status();
+      EXPECT_EQ((*q)->acq != nullptr, backing == StreamBacking::kEnumerator)
+          << text;
+      for (ResultShape shape : shapes) {
+        for (std::size_t limit : {0u, 1u, 1u << 20}) {
+          const ExecutionPlan plan =
+              engine::PlanQuery(**q, t, shape, {}, limit);
+          EXPECT_EQ(plan.engine, EnginePlan::kNaryAnswer) << text;
+          EXPECT_EQ(plan.backing, backing)
+              << text << " shape " << engine::ResultShapeName(shape)
+              << " limit " << limit << " on " << num_nodes << " nodes";
+        }
+        // Executing is the Fig. 8 answerer's job for unions: keep it to
+        // the smaller trees.
+        if (shape == ResultShape::kTupleStream || num_nodes > 64) continue;
+        engine::QueryResult r = service.Evaluate(t, text, shape);
+        ASSERT_TRUE(r.status.ok()) << text << ": " << r.status;
+        EXPECT_EQ(r.plan.backing, backing) << text;
+      }
+    }
+  }
+}
+
+// The stream limit and the shape price an ACQ plan (preprocessing plus
+// the expected tuple count times the delay) without moving its backing:
+// a boolean job counts one tuple, a drain counts them all.
+TEST(PlannerNaryShapeTest, ExpectedTupleCountPricesEnumeratorPlans) {
+  Rng rng(17);
+  RandomTreeOptions opts;
+  opts.num_nodes = 300;
+  Tree t = RandomTree(rng, opts);
+  auto q = engine::CompileQuery("$x/descendant::*/$y");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto cost = [&](ResultShape shape, std::size_t limit) {
+    return engine::PlanQuery(**q, t, shape, {}, limit).cost;
+  };
+  const double drain = cost(ResultShape::kFullRelation, 0);
+  EXPECT_EQ(cost(ResultShape::kCount, 0), drain);
+  EXPECT_EQ(cost(ResultShape::kTupleStream, 0), drain);
+  EXPECT_EQ(cost(ResultShape::kTupleStream, 1), cost(ResultShape::kBoolean, 0));
+  EXPECT_LT(cost(ResultShape::kBoolean, 0), cost(ResultShape::kTupleStream, 100));
+  EXPECT_LT(cost(ResultShape::kTupleStream, 100), drain);
+  // A limit beyond the whole answer-set estimate prices as a drain.
+  EXPECT_EQ(cost(ResultShape::kTupleStream, std::size_t{1} << 40), drain);
+}
+
 // --------------------------------------------------- cost-model behavior
 
 /// Costs, sorted ascending, of every admissible forced (engine, repr)

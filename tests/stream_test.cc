@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "engine/document_store.h"
 #include "engine/query_service.h"
 #include "tree/generators.h"
+#include "xpath/eval.h"
+#include "xpath/parser.h"
 
 namespace xpv::engine {
 namespace {
@@ -55,9 +58,8 @@ const char* const kStreamQueries[] = {
 };
 
 TEST(StreamDifferentialTest, StreamedEqualsMaterializedAcrossChunkings) {
-  // Small trees route enumerable drain-everything streams to the
-  // materialized backing, large ones to the enumerator (planner.h);
-  // both must match the batch path's ground truth.
+  // Every stream must match the batch path's answer set, whatever the
+  // tree size; the batch path drains the same backing (planner.h).
   for (std::size_t num_nodes : {30u, 90u}) {
     Rng tree_rng(num_nodes);
     RandomTreeOptions opts;
@@ -92,6 +94,93 @@ TEST(StreamDifferentialTest, StreamedEqualsMaterializedAcrossChunkings) {
           EXPECT_EQ(got, first_order) << query << " chunk " << chunk;
         }
         EXPECT_TRUE(stream->done());
+      }
+    }
+  }
+}
+
+/// The n-ary templates of this suite and of engine_differential_test:
+/// ACQs (enumerator) and a union (Fig. 8).
+const char* const kNaryQueries[] = {
+    "descendant::a/$x",
+    "$x/descendant::b",
+    "descendant::*[child::a]/$x/child::*",
+    "$x/child::*/$y",
+    "$x/descendant::*/$y",
+    "(descendant::a union descendant::b)/$y",
+};
+
+/// Brute-force q_{P,x}(t) over the query's sorted free variables.
+TupleSet NaiveAnswers(const Tree& t, const std::string& query) {
+  Result<xpath::PathPtr> path = xpath::ParsePath(query);
+  EXPECT_TRUE(path.ok()) << query;
+  if (!path.ok()) return {};
+  const std::set<std::string> free_vars = xpath::FreeVars(**path);
+  const std::vector<std::string> vars(free_vars.begin(), free_vars.end());
+  xpath::DirectEvaluator eval(t);
+  return eval.EvalNaryNaive(**path, vars);
+}
+
+TEST(StreamDifferentialTest, BatchShapesEqualDrainedStreamAndNaive) {
+  // A batch n-ary job drains the backing a stream pulls, so every batch
+  // shape must agree with the drained stream and with the brute-force
+  // oracle, at any thread count.
+  for (std::size_t num_nodes : {30u, 90u, 200u}) {
+    Rng tree_rng(num_nodes + 3);
+    RandomTreeOptions opts;
+    opts.num_nodes = num_nodes;
+    Tree t = RandomTree(tree_rng, opts);
+    DocumentStore store;
+    const DocumentId id = store.Insert(Tree(t));
+
+    std::vector<TupleSet> expected;
+    for (const char* query : kNaryQueries) {
+      expected.push_back(NaiveAnswers(t, query));
+    }
+
+    std::vector<QueryJob> jobs;
+    for (const char* query : kNaryQueries) {
+      for (ResultShape shape : {ResultShape::kFullRelation,
+                                ResultShape::kCount, ResultShape::kBoolean}) {
+        jobs.push_back({id, query, shape});
+      }
+    }
+    std::vector<QueryResult> first_run;
+    for (std::size_t threads : {1u, 4u}) {
+      QueryService service({.num_threads = threads, .document_store = &store});
+      std::vector<QueryResult> results = service.EvaluateBatch(jobs);
+      ASSERT_EQ(results.size(), jobs.size());
+      for (std::size_t i = 0; i < std::size(kNaryQueries); ++i) {
+        const char* query = kNaryQueries[i];
+        const QueryResult& full = results[3 * i];
+        const QueryResult& count = results[3 * i + 1];
+        const QueryResult& boolean = results[3 * i + 2];
+        for (const QueryResult* r : {&full, &count, &boolean}) {
+          ASSERT_TRUE(r->status.ok()) << query << ": " << r->status;
+          EXPECT_EQ(r->plan.engine, EnginePlan::kNaryAnswer);
+          EXPECT_EQ(r->plan.backing, full.plan.backing) << query;
+        }
+        Result<QueryStream> stream = service.OpenStream(id, query);
+        ASSERT_TRUE(stream.ok()) << query << ": " << stream.status();
+        EXPECT_EQ(stream->stats().plan.backing, full.plan.backing) << query;
+        const std::vector<NodeTuple> drained = DrainStream(*stream, 256);
+        EXPECT_EQ(AsSet(drained), full.tuples)
+            << query << " on " << num_nodes << " nodes";
+        EXPECT_EQ(drained.size(), full.tuples.size()) << query;
+        EXPECT_EQ(full.tuples, expected[i])
+            << query << " on " << num_nodes << " nodes";
+        EXPECT_EQ(count.count, full.tuples.size()) << query;
+        EXPECT_TRUE(count.tuples.empty()) << query;
+        EXPECT_EQ(boolean.boolean, !full.tuples.empty()) << query;
+        EXPECT_TRUE(boolean.tuples.empty()) << query;
+      }
+      if (first_run.empty()) {
+        first_run = std::move(results);
+      } else {
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+          EXPECT_EQ(results[j].tuples, first_run[j].tuples) << jobs[j].query;
+          EXPECT_EQ(results[j].count, first_run[j].count) << jobs[j].query;
+        }
       }
     }
   }
@@ -313,7 +402,7 @@ TEST(StreamTest, ServiceDestructionDrainsQueuedBatchDespiteOpenStream) {
 TEST(StreamTest, StreamOutlivesRemoveAndReIntern) {
   Rng rng(64);
   RandomTreeOptions opts;
-  opts.num_nodes = 80;  // > kTinyTree: the pinned enumerator backing
+  opts.num_nodes = 80;  // an ACQ query: the pinned enumerator backing
   Tree t = RandomTree(rng, opts);
   DocumentStore store({.num_shards = 4});
   const DocumentId id = store.Intern(Tree(t));
@@ -426,6 +515,93 @@ TEST(StreamTest, EnumeratorDedupBudgetFailsStreamWithResourceExhausted) {
     if (batch->empty()) break;
   }
   EXPECT_EQ(failure.code(), StatusCode::kResourceExhausted) << failure;
+}
+
+// ------------------------------------------- batch n-ary typed failures
+//
+// A batch n-ary job drains the backing a stream pulls, so it fails the
+// way a stream does: cancelled, past its deadline, or out of dedup
+// budget -- each a typed status with no partial payload.
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr int kTimingSlack = 10;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr int kTimingSlack = 10;
+#else
+constexpr int kTimingSlack = 1;
+#endif
+#else
+constexpr int kTimingSlack = 1;
+#endif
+
+/// (n-1)^2 n answers on a path of n nodes (PathChainAnswers below).
+const char* const kChainQuery = "$x/descendant::*/$y/descendant::*/$z";
+
+TEST(BatchNaryFailureTest, PreCancelledBatchReturnsCancelled) {
+  DocumentStore store;
+  const DocumentId id = store.Insert(PathTree(200));
+  QueryService service({.num_threads = 2, .document_store = &store,
+                        .max_inflight_batches = 1});
+  // An open stream holds the only inflight slot, so the batch waits in
+  // the queue until it has been cancelled.
+  Result<QueryStream> holder = service.OpenStream(id, "descendant::*");
+  ASSERT_TRUE(holder.ok()) << holder.status();
+  Result<BatchHandle> handle =
+      service.TrySubmit({{id, kChainQuery, ResultShape::kFullRelation},
+                         {id, kChainQuery, ResultShape::kCount},
+                         {id, kChainQuery, ResultShape::kBoolean}});
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  handle->Cancel();
+  holder->Close();
+  for (const QueryResult& r : handle->Wait()) {
+    EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status;
+    EXPECT_TRUE(r.tuples.empty());
+    EXPECT_EQ(r.count, 0u);
+  }
+}
+
+TEST(BatchNaryFailureTest, DeadlineStopsAFullRelationDrainMidRun) {
+  DocumentStore store;
+  const DocumentId id = store.Insert(PathTree(200));  // 7.9M answers
+  QueryService service({.num_threads = 1, .document_store = &store});
+  const auto start = std::chrono::steady_clock::now();
+  BatchOptions options;
+  options.deadline = start + std::chrono::milliseconds(10);
+  Result<BatchHandle> handle = service.TrySubmit(
+      {{id, kChainQuery, ResultShape::kFullRelation}}, options);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  std::vector<QueryResult> results = handle->Wait();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kDeadlineExceeded)
+      << results[0].status;
+  EXPECT_EQ(results[0].plan.backing, StreamBacking::kEnumerator);
+  EXPECT_TRUE(results[0].tuples.empty());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50) * kTimingSlack);
+}
+
+TEST(BatchNaryFailureTest, DedupBudgetExhaustionIsResourceExhausted) {
+  // The root of a star, with twelve children bound to twelve variables:
+  // the projected anchor keeps degree 13, survives elimination, and the
+  // enumerator dedups 4^12 distinct tuples inside the default budget
+  // (fo::TupleDedupOptions, 64 MiB), which ~1.4M 12-tuples exhaust. A
+  // count job keeps no tuples of its own, so the dedup is all the
+  // memory the job holds.
+  std::string query = "self::*";
+  for (char v = 'a'; v < 'a' + 12; ++v) {
+    query += std::string("[child::*[. is $") + v + "]]";
+  }
+  DocumentStore store;
+  const DocumentId id = store.Insert(StarTree(4));
+  QueryService service({.num_threads = 1, .document_store = &store});
+  std::vector<QueryResult> results =
+      service.EvaluateBatch({{id, query, ResultShape::kCount}});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kResourceExhausted)
+      << results[0].status;
+  EXPECT_EQ(results[0].plan.backing, StreamBacking::kEnumerator);
+  EXPECT_EQ(results[0].count, 0u);
 }
 
 TEST(StreamTest, RejectsTupleStreamShapeOnBatchJobs) {

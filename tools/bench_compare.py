@@ -44,6 +44,8 @@ FLAGGED_SECTIONS = [
     "BM_SnapshotSaveLoad",
     "BM_SpillThrash",
     "BM_DensifyRunList",
+    "BM_NaryBatchVsDrain",
+    "BM_NaryUnionBatch",
 ]
 
 # Families that carry no timing bar but must still be measured: a run
