@@ -511,6 +511,58 @@ void BM_AxisCacheBuildAllWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_AxisCacheBuildAllWalk)->Arg(2048);
 
+// ------------------------------------------------------- axis images
+//
+// L1: one AxisImage step, the set-at-a-time sweep under from-root jobs,
+// streams, filter domains and GKP's per-source loop. Args are (nodes,
+// axis index into kAllAxes, frontier 0=root / 1=one label (`a`, about
+// n/6 nodes) / 2=`a/child::b` / 3=all nodes) on random trees (6 labels,
+// fan-out <= 8). Descendant fills one interval per maximal frontier
+// node at any density; child, ancestor and sibling images walk from
+// frontiers of at most n / kAxisImagePushDivisor nodes (frontiers 0-2,
+// which cost their frontier and image) and pull-sweep denser ones
+// (frontier 3). Counters: `frontier` and `image` (node counts). CI fails
+// if this section goes missing from BENCH_batch_service.json.
+
+BitVector ImageBenchFrontier(const Tree& t, std::int64_t frontier) {
+  BitVector from(t.size());
+  switch (frontier) {
+    case 0:
+      from.Set(t.root());
+      return from;
+    case 1:
+      return LabelSet(t, "a");
+    case 2:
+      from = AxisImage(t, Axis::kChild, LabelSet(t, "a"));
+      from.AndWith(LabelSet(t, "b"));
+      return from;
+    default:
+      from.Fill();
+      return from;
+  }
+}
+
+void BM_AxisImage(benchmark::State& state) {
+  Rng rng(11);
+  RandomTreeOptions opts;
+  opts.num_nodes = static_cast<std::size_t>(state.range(0));
+  opts.alphabet_size = 6;
+  opts.max_children = 8;
+  const Tree t = RandomTree(rng, opts);
+  const Axis axis = kAllAxes[static_cast<std::size_t>(state.range(1))];
+  const BitVector from = ImageBenchFrontier(t, state.range(2));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(AxisImage(t, axis, from));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["frontier"] = static_cast<double>(from.Count());
+  state.counters["image"] =
+      static_cast<double>(AxisImage(t, axis, from).Count());
+}
+BENCHMARK(BM_AxisImage)
+    ->ArgsProduct({{4096, 65536}, {0, 1, 2, 3, 4, 5, 6}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMicrosecond);
+
 // ----------------------------------------- representation comparison
 //
 // Dense vs interval backing for the whole 7-relation AxisCache on one

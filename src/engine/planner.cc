@@ -119,7 +119,12 @@ bool SweepMaterializes(const ppl::PplBinExpr& p, bool single_source) {
 
 /// Cost of the row-restricted matrix path, reached from `single_source`
 /// as in SweepMaterializes: positive operators propagate one BitVector
-/// (O(|t|) each), and so does a single-source complement; any other
+/// (priced at n per step), and so does a single-source complement. Since
+/// AxisImage is output-sensitive (a step costs its frontier and its
+/// image plus n / 64 words), n per step is an upper bound, loosest on
+/// single-node frontiers; re-pricing it against measured time belongs to
+/// the one-unit calibration (ROADMAP item 2(b)), so the estimate and
+/// every plan stay as they are until then. Any other
 /// complement over a plain step runs one kernel pass over the cached axis
 /// relation (per-row access cost depends on its representation), and any
 /// other complement falls back to the full matrix evaluation of its

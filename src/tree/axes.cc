@@ -1,6 +1,7 @@
 #include "tree/axes.h"
 
 #include <cassert>
+#include <cstdint>
 
 namespace xpv {
 
@@ -257,15 +258,57 @@ IntervalMatrix AxisIntervalMatrix(const Tree& t, Axis axis) {
   return IntervalMatrix(n, std::move(offsets), std::move(runs));
 }
 
+namespace {
+
+// Marks next(u), next(next(u)), ... for every u in `from`, stopping at
+// the end of the chain or at the first node already in `out`. Each walk
+// leaves `out` closed under `next`, so that node's whole chain is
+// already marked, every node is marked once, and all walks together
+// cost O(|from| + |image|).
+template <typename Next>
+void MarkChains(const BitVector& from, BitVector& out, Next next) {
+  from.ForEachSet([&](std::size_t u) {
+    for (NodeId v = next(static_cast<NodeId>(u)); v != kNoNode && !out.Get(v);
+         v = next(v)) {
+      out.Set(v);
+    }
+  });
+}
+
+// True iff `from` holds at most `limit` nodes. Zero words are skipped and
+// the count stops once it passes `limit`, so the push/pull decision stays
+// a small part of a one-node step's cost.
+bool AtMostSet(const BitVector& from, std::size_t limit) {
+  std::size_t count = 0;
+  for (const std::uint64_t word : from.words()) {
+    if (word == 0) continue;
+    count += static_cast<std::size_t>(__builtin_popcountll(word));
+    if (count > limit) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 BitVector AxisImage(const Tree& t, Axis axis, const BitVector& from) {
   const std::size_t n = t.size();
   assert(from.size() == n);
   BitVector out(n);
+  const auto push = [&] { return AtMostSet(from, n / kAxisImagePushDivisor); };
   switch (axis) {
     case Axis::kSelf:
       out = from;
       return out;
     case Axis::kChild:
+      if (push()) {
+        from.ForEachSet([&](std::size_t u) {
+          for (NodeId c = t.first_child(static_cast<NodeId>(u));
+               c != kNoNode; c = t.next_sibling(c)) {
+            out.Set(c);
+          }
+        });
+        return out;
+      }
       for (NodeId v = 0; v < n; ++v) {
         NodeId p = t.parent(v);
         if (p != kNoNode && from.Get(p)) out.Set(v);
@@ -278,14 +321,21 @@ BitVector AxisImage(const Tree& t, Axis axis, const BitVector& from) {
       });
       return out;
     case Axis::kDescendant:
-      // out[v] = from[parent] or out[parent]; parents precede children in
-      // pre-order, so a single forward sweep suffices.
-      for (NodeId v = 1; v < n; ++v) {
-        NodeId p = t.parent(v);
-        if (from.Get(p) || out.Get(p)) out.Set(v);
+      // A subtree is the interval [u, u + SubtreeSize(u)): fill it for
+      // every frontier node u outside the subtrees already filled, then
+      // jump past it. O(maximal frontier nodes + n / 64) word operations
+      // at any frontier density.
+      for (std::size_t u = from.FirstSet(); u < n;) {
+        const std::size_t end = u + t.SubtreeSize(static_cast<NodeId>(u));
+        out.SetRange(u + 1, end);
+        u = from.NextSet(end);
       }
       return out;
     case Axis::kAncestor:
+      if (push()) {
+        MarkChains(from, out, [&t](NodeId v) { return t.parent(v); });
+        return out;
+      }
       // out[p] = from[child] or out[child] for any child; children follow
       // parents in pre-order, so sweep backwards.
       for (NodeId v = static_cast<NodeId>(n); v-- > 1;) {
@@ -294,6 +344,10 @@ BitVector AxisImage(const Tree& t, Axis axis, const BitVector& from) {
       }
       return out;
     case Axis::kFollowingSibling:
+      if (push()) {
+        MarkChains(from, out, [&t](NodeId v) { return t.next_sibling(v); });
+        return out;
+      }
       // out[v] = from[prev_sibling] or out[prev_sibling]; previous siblings
       // have smaller pre-order ids.
       for (NodeId v = 1; v < n; ++v) {
@@ -302,6 +356,10 @@ BitVector AxisImage(const Tree& t, Axis axis, const BitVector& from) {
       }
       return out;
     case Axis::kPrecedingSibling:
+      if (push()) {
+        MarkChains(from, out, [&t](NodeId v) { return t.prev_sibling(v); });
+        return out;
+      }
       for (NodeId v = static_cast<NodeId>(n); v-- > 0;) {
         NodeId ns = t.next_sibling(v);
         if (ns != kNoNode && (from.Get(ns) || out.Get(ns))) out.Set(v);

@@ -2,6 +2,10 @@
 // and algebraic properties (inverses, closures) over random trees.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "tree/axes.h"
 #include "tree/generators.h"
@@ -175,6 +179,137 @@ TEST(AxisImageTest, StarTreeSiblings) {
   first.Set(1);  // first leaf
   EXPECT_EQ(AxisImage(t, Axis::kFollowingSibling, first).Count(), 19u);
   EXPECT_EQ(AxisImage(t, Axis::kPrecedingSibling, first).Count(), 0u);
+}
+
+// Differential suite for the push/pull switch: AxisImage against the
+// relation's ImageOf on path, star, random and bibliography trees of up
+// to ~300 nodes, for frontiers of every density that takes a different
+// route -- empty, one node, sparse, one below / at / one above the
+// crossover |t| / kAxisImagePushDivisor, and full.
+
+struct NamedTree {
+  std::string name;
+  Tree tree;
+};
+
+std::vector<NamedTree> DifferentialTrees() {
+  Rng rng(26);
+  std::vector<NamedTree> trees;
+  trees.push_back({"path", PathTree(300)});
+  trees.push_back({"star", StarTree(299)});
+  RandomTreeOptions wide;
+  wide.num_nodes = 300;
+  trees.push_back({"random", RandomTree(rng, wide)});
+  RandomTreeOptions bounded;
+  bounded.num_nodes = 257;
+  bounded.alphabet_size = 6;
+  bounded.max_children = 8;
+  trees.push_back({"random_fanout8", RandomTree(rng, bounded)});
+  trees.push_back({"bibliography", BibliographyTree(rng, 60)});
+  return trees;
+}
+
+/// `count` distinct node ids below n, drawn at random.
+BitVector RandomFrontier(Rng& rng, std::size_t n, std::size_t count) {
+  std::vector<NodeId> ids(n);
+  for (NodeId v = 0; v < n; ++v) ids[v] = v;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::swap(ids[i], ids[i + rng.Below(n - i)]);
+  }
+  BitVector from(n);
+  for (std::size_t i = 0; i < count; ++i) from.Set(ids[i]);
+  return from;
+}
+
+std::vector<std::pair<std::string, BitVector>> DifferentialFrontiers(
+    Rng& rng, std::size_t n) {
+  std::vector<std::pair<std::string, BitVector>> frontiers;
+  frontiers.emplace_back("empty", BitVector(n));
+  for (NodeId v : {NodeId{0}, static_cast<NodeId>(n / 2),
+                   static_cast<NodeId>(n - 1)}) {
+    BitVector one(n);
+    one.Set(v);
+    frontiers.emplace_back("node " + std::to_string(v), std::move(one));
+  }
+  for (int trial = 0; trial < 3; ++trial) {
+    frontiers.emplace_back("sparse", RandomFrontier(rng, n, n / 20 + 1));
+  }
+  const std::size_t crossover = n / kAxisImagePushDivisor;
+  for (std::size_t count : {crossover - 1, crossover, crossover + 1}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      frontiers.emplace_back("count " + std::to_string(count),
+                             RandomFrontier(rng, n, count));
+    }
+  }
+  BitVector full(n);
+  full.Fill();
+  frontiers.emplace_back("full", std::move(full));
+  return frontiers;
+}
+
+TEST(AxisImageDifferentialTest, MatchesMatrixAtEveryFrontierDensity) {
+  Rng rng(2612);
+  for (const NamedTree& named : DifferentialTrees()) {
+    const Tree& t = named.tree;
+    ASSERT_GE(t.size(), 200u) << named.name;
+    const auto frontiers = DifferentialFrontiers(rng, t.size());
+    for (Axis axis : kAllAxes) {
+      const BitMatrix m = AxisMatrix(t, axis);
+      for (const auto& [what, from] : frontiers) {
+        EXPECT_EQ(AxisImage(t, axis, from), m.ImageOf(from))
+            << named.name << " (" << t.size() << " nodes), "
+            << AxisName(axis) << ", frontier " << what << " of "
+            << from.Count();
+      }
+    }
+  }
+}
+
+// Long chains at 65536 nodes: every node's ancestors on a path, and
+// every leaf's siblings on a star. A walk that did not stop at the first
+// marked node would take quadratic time here.
+TEST(AxisImageDifferentialTest, LongChainsAtScaleHaveExactCounts) {
+  constexpr std::size_t kNodes = 65536;
+  const Tree path = PathTree(kNodes);
+  BitVector all(kNodes);
+  all.Fill();
+  EXPECT_EQ(AxisImage(path, Axis::kAncestor, all).Count(), kNodes - 1);
+  EXPECT_EQ(AxisImage(path, Axis::kDescendant, all).Count(), kNodes - 1);
+  // A pushed frontier: the deepest node and the middle one.
+  BitVector two(kNodes);
+  two.Set(kNodes - 1);
+  two.Set(kNodes / 2);
+  EXPECT_EQ(AxisImage(path, Axis::kAncestor, two).Count(), kNodes - 1);
+  // The lower half of the path: a frontier right at the crossover.
+  BitVector lower_half(kNodes);
+  lower_half.SetRange(kNodes / 2, kNodes);
+  EXPECT_EQ(AxisImage(path, Axis::kAncestor, lower_half).Count(), kNodes - 1);
+
+  const Tree star = StarTree(kNodes - 1);
+  BitVector leaves(kNodes);
+  leaves.SetRange(1, kNodes);
+  EXPECT_EQ(AxisImage(star, Axis::kFollowingSibling, leaves).Count(),
+            kNodes - 2);
+  EXPECT_EQ(AxisImage(star, Axis::kPrecedingSibling, leaves).Count(),
+            kNodes - 2);
+  BitVector ends(kNodes);
+  ends.Set(1);
+  ends.Set(kNodes - 1);
+  EXPECT_EQ(AxisImage(star, Axis::kFollowingSibling, ends).Count(),
+            kNodes - 2);
+  EXPECT_EQ(AxisImage(star, Axis::kPrecedingSibling, ends).Count(),
+            kNodes - 2);
+  // Every other leaf: a pushed frontier whose walks all meet marked nodes.
+  BitVector odd(kNodes);
+  for (NodeId v = 1; v < kNodes; v += 2) odd.Set(v);
+  EXPECT_EQ(AxisImage(star, Axis::kFollowingSibling, odd).Count(),
+            kNodes - 2);
+  EXPECT_EQ(AxisImage(star, Axis::kPrecedingSibling, odd).Count(),
+            kNodes - 2);
+  EXPECT_EQ(AxisImage(star, Axis::kChild, ends).Count(), 0u);
+  BitVector root(kNodes);
+  root.Set(0);
+  EXPECT_EQ(AxisImage(star, Axis::kChild, root).Count(), kNodes - 1);
 }
 
 TEST(LabelSetTest, WildcardAndNames) {

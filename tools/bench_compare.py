@@ -37,6 +37,7 @@ FLAGGED_SECTIONS = [
     "BM_StreamFirstK",
     "BM_AxisBuildDense",
     "BM_AxisBuildInterval",
+    "BM_AxisImage",
     "BM_SparseCompose",
     "BM_CrossoverFullRelation",
     "BM_SubrelationReuse",
