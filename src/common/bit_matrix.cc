@@ -456,6 +456,15 @@ void BitMatrix::CopyRowInto(std::size_t row, BitVector& out) const {
             out.mutable_words().begin());
 }
 
+bool BitMatrix::RowIntersects(std::size_t row, const BitVector& v) const {
+  assert(v.size() == n_);
+  const std::uint64_t* base = &words_[row * words_per_row_];
+  for (std::size_t w = 0; w < words_per_row_; ++w) {
+    if ((base[w] & v.words()[w]) != 0) return true;
+  }
+  return false;
+}
+
 void BitMatrix::OrIntoRow(std::size_t row, const BitVector& v) {
   assert(v.size() == n_);
   std::uint64_t* dst = &words_[row * words_per_row_];

@@ -275,6 +275,8 @@ class BitMatrix {
   /// Copies row `row` into `out`, resizing it to size() if needed (no
   /// temporary allocation when `out` already has the right size).
   void CopyRowInto(std::size_t row, BitVector& out) const;
+  /// True iff row `row` shares a set column with `v` (no row copy).
+  bool RowIntersects(std::size_t row, const BitVector& v) const;
   /// ORs `v` into row `row`.
   void OrIntoRow(std::size_t row, const BitVector& v);
   /// ORs row `src` into row `dst` in place (no temporary row copy).

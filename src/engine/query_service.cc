@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "fo/tuple_dedup.h"
 #include "ppl/gkp_engine.h"
 #include "ppl/matrix_engine.h"
 
@@ -362,9 +361,8 @@ QueryResult QueryService::RunJob(
       // the payload. The batch's cancel token reaches its preprocessing
       // and every enumeration step, so BatchHandle::Cancel and expired
       // deadlines stop an in-flight n-ary job mid-run.
-      Result<internal::NaryBacking> backing = internal::NaryBacking::Build(
-          q, plan.backing, target, cancel,
-          fo::TupleDedupOptions().max_bytes);
+      Result<internal::NaryBacking> backing =
+          internal::NaryBacking::Build(q, plan.backing, target, cancel);
       result.status = backing.ok()
                           ? FinishNary(result, plan.shape, *backing)
                           : backing.status();

@@ -42,14 +42,12 @@ std::size_t MaterializedBytes(const xpath::TupleSet& tuples,
 Result<NaryBacking> NaryBacking::Build(const CompiledQuery& q,
                                        StreamBacking backing,
                                        const JobTarget& target,
-                                       CancelToken cancel,
-                                       std::size_t max_dedup_bytes) {
+                                       CancelToken cancel) {
   NaryBacking out;
   switch (backing) {
     case StreamBacking::kEnumerator: {
       fo::AcqEnumeratorOptions options;
       options.cancel = cancel;
-      options.dedup.max_bytes = max_dedup_bytes;
       options.axis_cache = target.cache;
       Result<fo::AcqEnumerator> e =
           fo::AcqEnumerator::Create(*target.tree, *q.acq, std::move(options));
@@ -100,10 +98,6 @@ std::size_t NaryBacking::resident_bytes() const {
                                  : answers_bytes_;
 }
 
-std::size_t NaryBacking::dedup_entries() const {
-  return enumerator_.has_value() ? enumerator_->dedup_entries() : 0;
-}
-
 void StreamState::ReleaseResources() {
   nary.reset();
   node_set.reset();
@@ -134,8 +128,7 @@ Status BuildBacking(StreamState& s) {
     case StreamBacking::kMaterialized: {
       Result<NaryBacking> nary = NaryBacking::Build(
           q, s.plan.backing, s.target,
-          CancelToken(&s.cancelled, s.options.deadline),
-          s.options.max_dedup_bytes);
+          CancelToken(&s.cancelled, s.options.deadline));
       if (!nary.ok()) return nary.status();
       s.nary.emplace(std::move(nary).value());
       break;
@@ -323,7 +316,6 @@ StreamStats QueryStream::stats() const {
   stats.plan = s.plan;
   if (s.nary.has_value()) {
     stats.backing_bytes = s.nary->resident_bytes();
-    stats.dedup_entries = s.nary->dedup_entries();
   } else if (s.node_set.has_value()) {
     stats.backing_bytes =
         s.node_set->words().capacity() * sizeof(std::uint64_t);

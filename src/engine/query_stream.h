@@ -97,10 +97,6 @@ struct StreamOptions {
   /// Observed inside NextBatch (between tuples) and inside the backing
   /// enumerator/answerer, not just between calls.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Budget for the enumerator's projection-dedup structure
-  /// (fo/tuple_dedup.h); exceeding it fails the stream with
-  /// kResourceExhausted. Ignored by non-enumerator backings.
-  std::size_t max_dedup_bytes = 64u << 20;
 };
 
 /// Observability snapshot of one stream (QueryStream::stats()).
@@ -115,17 +111,18 @@ struct StreamStats {
   std::size_t arity = 0;
   bool exhausted = false;
   bool closed = false;
-  /// Sticky failure (deadline/cancel/dedup budget), OK while healthy.
+  /// Sticky failure (deadline or cancel), OK while healthy.
   Status status;
   /// The planner's decision, including the stream backing.
   ExecutionPlan plan;
-  /// Resident bytes of the backing's answer-dependent state: enumerator
-  /// DFS frames + dedup, or the materialized answer set estimate, or
-  /// the node-set bitvector. The acceptance property of the enumerator
-  /// backing is that this stays flat no matter how many answers exist.
+  /// Resident bytes of the backing's enumeration state: the
+  /// enumerator's DFS frames and extension-check candidate sets, or the
+  /// materialized answer set estimate, or the node-set bitvector. The
+  /// acceptance property of the enumerator backing is that this stays
+  /// flat no matter how many answers exist.
   std::size_t backing_bytes = 0;
-  /// Distinct tuples remembered by the enumerator's dedup (0 when the
-  /// projection is injective or the backing keeps no dedup).
+  /// Always 0: the enumerator keeps no answer memory. Stays until
+  /// perfbench stops reading it (ROADMAP item 11).
   std::size_t dedup_entries = 0;
 };
 
@@ -222,15 +219,13 @@ class NaryBacking {
   /// Runs the backing's preprocessing on `target`: the enumerator's
   /// semijoin reduction, or the whole Fig. 8 answer set. Observes
   /// `cancel` there and, for the enumerator, between DFS steps.
-  /// `max_dedup_bytes` bounds the enumerator's projection dedup
-  /// (fo/tuple_dedup.h); it is unused when the projection is injective.
   static Result<NaryBacking> Build(const CompiledQuery& q,
                                    StreamBacking backing,
-                                   const JobTarget& target, CancelToken cancel,
-                                   std::size_t max_dedup_bytes);
+                                   const JobTarget& target,
+                                   CancelToken cancel);
 
   /// The next distinct tuple; nullopt when exhausted. Errors
-  /// (kCancelled / kDeadlineExceeded / kResourceExhausted) are sticky.
+  /// (kCancelled / kDeadlineExceeded) are sticky.
   Result<std::optional<xpath::NodeTuple>> Next();
 
   /// Advances past up to `count` tuples without producing them where
@@ -238,11 +233,9 @@ class NaryBacking {
   /// skipped. The enumerator must produce to skip, so it skips none.
   std::size_t FastSkip(std::size_t count);
 
-  /// Answer-dependent resident bytes: DFS frames + dedup, or the
-  /// materialized answer-set estimate.
+  /// Resident bytes of the enumeration state: the enumerator's frames
+  /// and candidate sets, or the materialized answer-set estimate.
   std::size_t resident_bytes() const;
-  /// Distinct tuples remembered by the enumerator's dedup (0 otherwise).
-  std::size_t dedup_entries() const;
 
  private:
   NaryBacking() = default;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <utility>
 
 #include "fo/acq_internal.h"
 #include "fo/positive.h"
@@ -128,29 +129,39 @@ bool BuildForest(const ReducedQuery& rq, Forest* out) {
   return true;
 }
 
-BitMatrix ParentToChild(const ReducedQuery& rq, const Forest& forest,
-                        int child) {
-  const auto& edge = rq.edges[forest.parent_edge[child]];
-  if (edge.u == forest.parent[child]) return edge.relation;
-  return edge.relation.Transpose();
+std::vector<BitMatrix> TakeParentRelations(const Forest& forest,
+                                           ReducedQuery* rq) {
+  std::vector<BitMatrix> parent_rel(rq->vars.size());
+  for (std::size_t child = 0; child < parent_rel.size(); ++child) {
+    if (forest.parent[child] < 0) continue;
+    ReducedQuery::Edge& edge = rq->edges[forest.parent_edge[child]];
+    parent_rel[child] = edge.u == forest.parent[child]
+                            ? std::move(edge.relation)
+                            : edge.relation.Transpose();
+  }
+  rq->edges.clear();
+  return parent_rel;
 }
 
-void SemijoinReduce(const Forest& forest, ReducedQuery* rq) {
-  // Bottom-up: children before parents (reverse BFS order).
+void SemijoinReduce(const Forest& forest,
+                    const std::vector<BitMatrix>& parent_rel,
+                    std::vector<BitVector>* cand) {
+  // Bottom-up: children before parents (reverse BFS order); u stays in
+  // cand(parent) when row u meets cand(child).
   for (auto it = forest.order.rbegin(); it != forest.order.rend(); ++it) {
-    int child = *it;
+    const int child = *it;
     if (forest.parent[child] < 0) continue;
-    BitMatrix rel = ParentToChild(*rq, forest, child);
-    BitVector surviving =
-        rel.MaskColumns(rq->candidates[child]).NonEmptyRows();
-    rq->candidates[forest.parent[child]].AndWith(surviving);
+    BitVector& up = (*cand)[forest.parent[child]];
+    for (std::size_t u = up.FirstSet(); u < up.size();
+         u = up.NextSet(u + 1)) {
+      if (!parent_rel[child].RowIntersects(u, (*cand)[child])) up.Reset(u);
+    }
   }
   // Top-down: parents before children (BFS order).
   for (int child : forest.order) {
     if (forest.parent[child] < 0) continue;
-    BitMatrix rel = ParentToChild(*rq, forest, child);
-    BitVector reachable = rel.ImageOf(rq->candidates[forest.parent[child]]);
-    rq->candidates[child].AndWith(reachable);
+    (*cand)[child].AndWith(
+        parent_rel[child].ImageOf((*cand)[forest.parent[child]]));
   }
 }
 
@@ -159,9 +170,9 @@ void SemijoinReduce(const Forest& forest, ReducedQuery* rq) {
 using internal::BuildForest;
 using internal::BuildReduced;
 using internal::Forest;
-using internal::ParentToChild;
 using internal::ReducedQuery;
 using internal::SemijoinReduce;
+using internal::TakeParentRelations;
 using internal::VarUnionFind;
 
 std::set<std::string> ConjunctiveQuery::AllVars() const {
@@ -238,12 +249,15 @@ Result<xpath::TupleSet> AnswerAcqYannakakis(const Tree& t,
   if (!BuildForest(rq, &forest)) {
     return Status::InvalidArgument("query is cyclic: " + q.ToString());
   }
-  SemijoinReduce(forest, &rq);
+  const std::vector<BitMatrix> parent_rel = TakeParentRelations(forest, &rq);
+  SemijoinReduce(forest, parent_rel, &rq.candidates);
 
-  // Enumeration: assign variables in BFS order; each child's choices are
-  // the parent's successors intersected with its candidate set. After the
-  // two semijoin passes every choice extends to a full solution, so the
-  // enumeration is output-sensitive up to duplicate projections.
+  // Enumeration: assign every variable in BFS order; each child's choices
+  // are the parent's successors intersected with its candidate set. After
+  // the two semijoin passes every choice extends to a full solution, so
+  // the walk never dead-ends, but it visits every assignment: assignments
+  // that differ only on projected variables land on one tuple, and the
+  // set absorbs them. AcqEnumerator walks the output variables only.
   std::vector<int> output_ids;
   for (const std::string& v : q.output_vars) {
     output_ids.push_back(rq.var_id.at(uf.Find(v)));
@@ -263,8 +277,7 @@ Result<xpath::TupleSet> AnswerAcqYannakakis(const Tree& t,
     int var = forest.order[idx];
     BitVector choices = rq.candidates[var];
     if (forest.parent[var] >= 0) {
-      BitMatrix rel = ParentToChild(rq, forest, var);
-      choices.AndWith(rel.Row(assignment[forest.parent[var]]));
+      choices.AndWith(parent_rel[var].Row(assignment[forest.parent[var]]));
     }
     choices.ForEachSet([&](std::size_t u) {
       assignment[var] = static_cast<NodeId>(u);

@@ -45,9 +45,10 @@ struct ConjunctiveQuery {
 /// must be a forest.
 bool IsAcyclic(const ConjunctiveQuery& q);
 
-/// Yannakakis: semijoin reduction up and down a join forest, then
-/// output-sensitive enumeration. Fails with InvalidArgument when the query
-/// is cyclic.
+/// Yannakakis: semijoin reduction up and down a join forest, then a walk
+/// of every assignment into a set (output-sensitive when every variable
+/// is an output; AcqEnumerator is under projection too). Fails with
+/// InvalidArgument when the query is cyclic.
 Result<xpath::TupleSet> AnswerAcqYannakakis(const Tree& t,
                                             const ConjunctiveQuery& q);
 

@@ -61,13 +61,20 @@ struct Forest {
 /// Returns false when the graph contains a cycle.
 bool BuildForest(const ReducedQuery& rq, Forest* out);
 
-/// The relation of `child`'s parent edge, oriented parent -> child.
-BitMatrix ParentToChild(const ReducedQuery& rq, const Forest& forest,
-                        int child);
+/// Moves every edge relation out of `rq` into the parent relation of the
+/// variable below it, oriented parent -> child (transposed where the
+/// stored orientation differs), indexed by variable id; roots get an
+/// empty matrix. Clears rq->edges.
+std::vector<BitMatrix> TakeParentRelations(const Forest& forest,
+                                           ReducedQuery* rq);
 
-/// The two semijoin passes of Yannakakis' algorithm: after this, every
-/// surviving candidate value extends to a full solution.
-void SemijoinReduce(const Forest& forest, ReducedQuery* rq);
+/// The two semijoin passes of Yannakakis' algorithm over the candidate
+/// sets `cand` (by variable id), reading rows of `parent_rel` in place:
+/// after this, every surviving candidate value extends to a full
+/// solution.
+void SemijoinReduce(const Forest& forest,
+                    const std::vector<BitMatrix>& parent_rel,
+                    std::vector<BitVector>* cand);
 
 }  // namespace xpv::fo::internal
 

@@ -8,7 +8,6 @@
 namespace xpv::fo {
 
 using internal::Forest;
-using internal::ParentToChild;
 using internal::ReducedQuery;
 
 namespace {
@@ -16,9 +15,8 @@ namespace {
 /// Yannakakis projection optimization: existentially eliminates
 /// non-output variables before enumeration. The Fig. 7 translation
 /// plants projected closure variables (_start, composition midpoints)
-/// into every compiled n-ary query; enumerating over them multiplies
-/// the DFS work by their candidate counts and forces the dedup set to
-/// absorb the duplicate projections. Instead:
+/// into every compiled n-ary query; left in place, each would make the
+/// output frames below it pay an extension check. Instead:
 ///
 ///   * a non-output LEAF v (degree 1, edge u-v) is absorbed into its
 ///     neighbor by one semijoin: cand[u] &= nonempty-rows of
@@ -32,11 +30,11 @@ namespace {
 ///
 /// Iterated to fixpoint this strips every chain-shaped projection (all
 /// union-free PPL images), so the surviving variable set is exactly the
-/// output variables -- the projection becomes injective, the enumerator
-/// needs no dedup state, and each answer is produced exactly once.
+/// output variables and every frame is entered by one row lookup.
 /// Non-output variables of degree >= 3 (variables branching into a
-/// filter) survive; dedup handles them. Returns false when the query
-/// became unsatisfiable.
+/// filter) survive; the output frames below them run an extension check
+/// (Impl::EnterFrame). Returns false when the query became
+/// unsatisfiable.
 Result<bool> EliminateNonOutputVars(const std::vector<int>& output_ids,
                                     ReducedQuery* rq, CancelToken* cancel) {
   const std::size_t n = rq->vars.size();
@@ -161,52 +159,72 @@ struct AcqEnumerator::Impl {
   ReducedQuery rq;
   Forest forest;
   std::vector<int> output_ids;
-  std::size_t num_vars = 0;
   AcqEnumeratorOptions options;
 
   /// Parent-edge relations oriented parent -> child, one per non-root
-  /// variable, precomputed so each DFS frame entry is one row lookup --
-  /// calling internal::ParentToChild per step would copy (and possibly
-  /// transpose) a full |t| x |t| matrix, making the delay O(|t|^2/64)
-  /// instead of O(#vars |t|/64).
+  /// variable (internal::TakeParentRelations), so each frame entry is
+  /// one row lookup and each extension check reads rows in place.
   std::vector<BitMatrix> parent_rel;  // by var id; empty for roots
 
-  // Resumable DFS state: current value per variable (in forest.order
-  // position), kNoNode when the frame is not yet entered. `depth` is the
-  // index of the next frame to fill; -1 marks exhaustion.
+  /// The DFS frames: the distinct output variables, in forest.order.
+  /// Projected variables that survive elimination are never assigned.
+  std::vector<int> frames;
+  std::vector<bool> is_frame;  // by var id
+  /// Candidate sets of the latest extension check, by var id; allocated
+  /// only when some frame's forest parent is a projected variable.
+  std::vector<BitVector> pinned;
+
+  // Resumable DFS state: current value per frame variable, kNoNode when
+  // the frame is not yet entered. `depth` is the index of the next frame
+  // to fill.
   std::vector<NodeId> assignment;         // by var id
-  std::vector<BitVector> frame_choices;   // by order position
+  std::vector<BitVector> frame_choices;   // by frame
   std::vector<std::size_t> frame_cursor;  // next candidate to try
   int depth = 0;
   bool exhausted = false;
   bool started = false;
 
-  /// Projection dedup, engaged only when some variable is projected away
-  /// (see dedup_active); nullopt otherwise -- the DFS already produces
-  /// each full assignment exactly once.
-  std::optional<TupleDedup> seen;
   std::size_t produced = 0;
-  Status failed;  // sticky error from cancel/dedup
+  Status failed;  // sticky error from cancel
 
-  /// Computes the candidate row for the variable at order position
-  /// `pos` given the current parent assignment.
-  BitVector ChoicesAt(std::size_t pos) const {
-    int var = forest.order[pos];
-    BitVector choices = rq.candidates[var];
-    if (forest.parent[var] >= 0) {
-      choices.AndWith(
-          parent_rel[var].Row(assignment[forest.parent[var]]));
+  /// Fills frame `pos`'s choices: exactly the values of its variable
+  /// that extend the earlier frames' current values to a solution.
+  void EnterFrame(std::size_t pos) {
+    const int var = frames[pos];
+    const int parent = forest.parent[var];
+    BitVector& choices = frame_choices[pos];
+    if (parent < 0) {
+      // A root: earlier frames lie in other, independent components.
+      choices = rq.candidates[var];
+    } else if (is_frame[parent]) {
+      // With the parent fixed, var's subtree does not depend on the
+      // rest of the forest.
+      parent_rel[var].CopyRowInto(assignment[parent], choices);
+      choices.AndWith(rq.candidates[var]);
+    } else {
+      // An extension check: pin the earlier frames to their current
+      // values and rerun both semijoin passes. A full reducer leaves an
+      // acyclic query globally consistent, so what survives in
+      // cand(var) is exactly the values that extend to a solution.
+      pinned = rq.candidates;  // same sizes: reuses the storage
+      for (std::size_t j = 0; j < pos; ++j) {
+        pinned[frames[j]].Clear();
+        pinned[frames[j]].Set(assignment[frames[j]]);
+      }
+      internal::SemijoinReduce(forest, parent_rel, &pinned);
+      choices = pinned[var];
     }
-    return choices;
+    frame_cursor[pos] = choices.FirstSet();
   }
 
-  /// Advances the DFS to the next full assignment; returns false when
-  /// exhausted.
+  /// Advances the DFS to the next distinct output assignment; returns
+  /// false when exhausted.
   bool NextAssignment() {
     if (exhausted) return false;
-    const int num_frames = static_cast<int>(forest.order.size());
+    const int num_frames = static_cast<int>(frames.size());
     if (num_frames == 0) {
-      // No variables at all: exactly one (empty) assignment.
+      // No output variable: the satisfiable query has one answer, the
+      // empty tuple.
       if (started) {
         exhausted = true;
         return false;
@@ -217,8 +235,7 @@ struct AcqEnumerator::Impl {
     if (!started) {
       started = true;
       depth = 0;
-      frame_choices[0] = ChoicesAt(0);
-      frame_cursor[0] = frame_choices[0].FirstSet();
+      EnterFrame(0);
     } else {
       // Resume by advancing the deepest frame.
       depth = num_frames - 1;
@@ -230,10 +247,9 @@ struct AcqEnumerator::Impl {
         exhausted = true;
         return false;
       }
-      const std::size_t n = frame_choices[depth].size();
-      if (frame_cursor[depth] >= n) {
+      if (frame_cursor[depth] >= frame_choices[depth].size()) {
         // Frame exhausted: backtrack.
-        assignment[forest.order[depth]] = kNoNode;
+        assignment[frames[depth]] = kNoNode;
         --depth;
         if (depth >= 0) {
           frame_cursor[depth] =
@@ -241,12 +257,10 @@ struct AcqEnumerator::Impl {
         }
         continue;
       }
-      assignment[forest.order[depth]] =
-          static_cast<NodeId>(frame_cursor[depth]);
-      if (depth + 1 == num_frames) return true;  // full assignment
+      assignment[frames[depth]] = static_cast<NodeId>(frame_cursor[depth]);
+      if (depth + 1 == num_frames) return true;  // all outputs assigned
       ++depth;
-      frame_choices[depth] = ChoicesAt(static_cast<std::size_t>(depth));
-      frame_cursor[depth] = frame_choices[depth].FirstSet();
+      EnterFrame(static_cast<std::size_t>(depth));
     }
   }
 
@@ -295,36 +309,30 @@ Result<AcqEnumerator> AcqEnumerator::Create(const Tree& t,
   if (!internal::BuildForest(impl->rq, &impl->forest)) {
     return Status::Internal("elimination produced a cyclic graph");
   }
-  internal::SemijoinReduce(impl->forest, &impl->rq);
-  impl->parent_rel.resize(impl->rq.vars.size());
-  for (int var = 0; var < static_cast<int>(impl->rq.vars.size()); ++var) {
-    if (impl->forest.parent[var] >= 0) {
-      impl->parent_rel[var] = ParentToChild(impl->rq, impl->forest, var);
-    }
+  impl->parent_rel = internal::TakeParentRelations(impl->forest, &impl->rq);
+  internal::SemijoinReduce(impl->forest, impl->parent_rel,
+                           &impl->rq.candidates);
+  const std::size_t num_vars = impl->rq.vars.size();
+  for (const BitVector& cand : impl->rq.candidates) {
+    // After the full reducer an empty set empties its whole component.
+    if (cand.None()) impl->exhausted = true;
   }
   for (const std::string& v : q.output_vars) {
     impl->output_ids.push_back(impl->rq.var_id.at(uf.Find(v)));
   }
-  impl->num_vars = impl->rq.vars.size();
-  impl->assignment.assign(impl->num_vars, kNoNode);
-  impl->frame_choices.assign(impl->forest.order.size(), BitVector(t.size()));
-  impl->frame_cursor.assign(impl->forest.order.size(), 0);
-  // The projection is injective exactly when every (representative)
-  // variable appears in the output tuple: then distinct assignments
-  // project to distinct tuples and no dedup state is needed.
-  std::vector<int> sorted_outputs = impl->output_ids;
-  std::sort(sorted_outputs.begin(), sorted_outputs.end());
-  bool injective = true;
-  for (std::size_t id = 0; id < impl->num_vars; ++id) {
-    if (!std::binary_search(sorted_outputs.begin(), sorted_outputs.end(),
-                            static_cast<int>(id))) {
-      injective = false;
-      break;
-    }
+  impl->is_frame.assign(num_vars, false);
+  for (int id : impl->output_ids) impl->is_frame[id] = true;
+  bool needs_check = false;
+  for (int var : impl->forest.order) {
+    if (!impl->is_frame[var]) continue;
+    impl->frames.push_back(var);
+    const int parent = impl->forest.parent[var];
+    if (parent >= 0 && !impl->is_frame[parent]) needs_check = true;
   }
-  if (!injective) {
-    impl->seen.emplace(impl->output_ids.size(), impl->options.dedup);
-  }
+  if (needs_check) impl->pinned.assign(num_vars, BitVector(t.size()));
+  impl->assignment.assign(num_vars, kNoNode);
+  impl->frame_choices.assign(impl->frames.size(), BitVector(t.size()));
+  impl->frame_cursor.assign(impl->frames.size(), 0);
   return AcqEnumerator(std::move(impl));
 }
 
@@ -336,35 +344,17 @@ AcqEnumerator::~AcqEnumerator() = default;
 
 Result<std::optional<xpath::NodeTuple>> AcqEnumerator::Next() {
   if (!impl_->failed.ok()) return impl_->failed;  // sticky
-  while (true) {
-    Status live = impl_->options.cancel.Check();
-    if (!live.ok()) {
-      impl_->failed = live;
-      return live;
-    }
-    if (!impl_->NextAssignment()) return std::optional<xpath::NodeTuple>();
-    xpath::NodeTuple tuple = impl_->Project();
-    if (impl_->seen.has_value()) {
-      // Projection may collapse distinct assignments; skip duplicates.
-      Result<bool> fresh = impl_->seen->Insert(tuple);
-      if (!fresh.ok()) {
-        impl_->failed = fresh.status();
-        return impl_->failed;
-      }
-      if (!*fresh) continue;
-    }
-    ++impl_->produced;
-    return std::optional<xpath::NodeTuple>(std::move(tuple));
+  Status live = impl_->options.cancel.Check();
+  if (!live.ok()) {
+    impl_->failed = live;
+    return live;
   }
+  if (!impl_->NextAssignment()) return std::optional<xpath::NodeTuple>();
+  ++impl_->produced;
+  return std::optional<xpath::NodeTuple>(impl_->Project());
 }
 
 std::size_t AcqEnumerator::produced() const { return impl_->produced; }
-
-bool AcqEnumerator::dedup_active() const { return impl_->seen.has_value(); }
-
-std::size_t AcqEnumerator::dedup_entries() const {
-  return impl_->seen.has_value() ? impl_->seen->size() : 0;
-}
 
 std::size_t AcqEnumerator::resident_bytes() const {
   std::size_t bytes = impl_->assignment.capacity() * sizeof(NodeId) +
@@ -372,7 +362,9 @@ std::size_t AcqEnumerator::resident_bytes() const {
   for (const BitVector& frame : impl_->frame_choices) {
     bytes += frame.words().capacity() * sizeof(std::uint64_t);
   }
-  if (impl_->seen.has_value()) bytes += impl_->seen->memory_bytes();
+  for (const BitVector& cand : impl_->pinned) {
+    bytes += cand.words().capacity() * sizeof(std::uint64_t);
+  }
   return bytes;
 }
 

@@ -3,26 +3,29 @@
 // or HCL admit polynomial-time preprocessing and a linear enumeration
 // delay?").
 //
-// This implements the natural Yannakakis-based enumerator: after the
-// O(|db|)-ish preprocessing (relation materialization + the up/down
-// semijoin passes), answers are produced one at a time by a resumable DFS
-// over the join forest. Because every surviving candidate extends to a
-// full solution, the DFS never dead-ends:
+// This implements a Yannakakis-based enumerator: after the preprocessing
+// (relation materialization, elimination of projected chain variables
+// and the up/down semijoin passes), answers are produced one at a time by
+// a resumable DFS over the output variables only, in join-forest order.
+// On entering the frame of output variable o:
 //
-//   * when every query variable appears in the output tuple, the delay
-//     between consecutive answers is O(#vars * |t|) -- each step advances
-//     at least one iterator over a candidate row -- and the enumerator
-//     keeps NO per-answer state at all: memory stays O(#vars * |t|) bits
-//     of DFS frames regardless of how many answers exist;
-//   * with projection, distinct-tuple delay is amortized: duplicate
-//     projections are skipped via a *memory-bounded* hashed dedup
-//     structure (fo/tuple_dedup.h). This is a documented deviation both
-//     from the constant-delay literature (which needs more machinery
-//     [3,8,10]) and from "no materialization": distinctness under
-//     projection requires remembering emitted tuples, so the enumerator
-//     remembers them inside a hard byte budget and fails with a clear
-//     kResourceExhausted status when the budget is gone, instead of
-//     growing without bound.
+//   * when o's forest parent is an earlier output variable, the choices
+//     are o's candidates in the parent's row -- with the parent fixed,
+//     o's subtree does not depend on the rest of the forest;
+//   * otherwise the earlier output variables are pinned to their
+//     current values and the two semijoin passes rerun (an extension
+//     check). A full reducer leaves an acyclic query globally consistent
+//     (Yannakakis; Bagan, Durand & Grandjean, CSL 2007), so what
+//     survives in cand(o) is exactly the values that extend to an answer.
+//
+// No branch dead-ends and no projection is produced twice, so distinct
+// answers need no memory of the emitted ones. With k output variables
+// the delay between consecutive answers is at most k extension checks,
+// each O(#edges * |t| * ceil(|t|/64)) word operations; when every
+// surviving variable is an output no check runs and the delay is
+// O(k * |t|/64). Memory is the k frames plus one candidate set per
+// variable for the checks -- O((k + #vars) * |t|) bits, fixed at
+// Create() no matter how many answers exist.
 #ifndef XPV_FO_ENUMERATE_H_
 #define XPV_FO_ENUMERATE_H_
 
@@ -31,7 +34,6 @@
 
 #include "common/cancel.h"
 #include "fo/acq.h"
-#include "fo/tuple_dedup.h"
 #include "tree/axis_cache.h"
 
 namespace xpv::fo {
@@ -41,10 +43,6 @@ struct AcqEnumeratorOptions {
   /// semijoin passes) and between DFS steps, so an in-flight enumeration
   /// stops cooperatively on batch cancel or deadline expiry.
   CancelToken cancel;
-  /// Budget/policy for the projection dedup structure. Ignored when the
-  /// projection is injective (every variable is an output variable) --
-  /// then no dedup state is kept at all.
-  TupleDedupOptions dedup;
   /// Optional shared per-tree axis cache for relation materialization
   /// (e.g. a stored document's persistent cache); null = uncached.
   std::shared_ptr<AxisCache> axis_cache;
@@ -67,23 +65,17 @@ class AcqEnumerator {
   ~AcqEnumerator();
 
   /// The next distinct output tuple; nullopt when exhausted. Errors --
-  /// kCancelled / kDeadlineExceeded from the cancel token,
-  /// kResourceExhausted from the dedup budget -- are sticky: once Next()
-  /// has failed, every later call returns the same status.
+  /// kCancelled / kDeadlineExceeded from the cancel token -- are sticky:
+  /// once Next() has failed, every later call returns the same status.
   Result<std::optional<xpath::NodeTuple>> Next();
 
   /// Number of distinct tuples produced so far.
   std::size_t produced() const;
 
-  /// True when the projection requires dedup state (some variable is
-  /// projected away); false means enumeration memory is O(#vars * |t|)
-  /// bits no matter how many answers are produced.
-  bool dedup_active() const;
-  /// Distinct tuples remembered by the dedup structure (0 when inactive).
-  std::size_t dedup_entries() const;
-  /// Resident bytes of DFS frames + dedup state -- the part of the
-  /// enumerator's footprint that could scale with answers; excludes the
-  /// preprocessed relations, whose size is fixed by the query and tree.
+  /// Resident bytes of the DFS frames and the extension check's
+  /// candidate sets -- the enumeration state, fixed at Create(); excludes
+  /// the preprocessed relations, whose size is fixed by the query and
+  /// tree.
   std::size_t resident_bytes() const;
 
  private:

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "fo/acq.h"
 #include "fo/enumerate.h"
-#include "fo/tuple_dedup.h"
 #include "hcl/answer.h"
 #include "tree/generators.h"
 
@@ -30,13 +29,14 @@ CqAtom Atom(Axis axis, std::string name, std::string x, std::string y) {
           std::move(y)};
 }
 
+/// Drains `e`, failing the test if any tuple is produced twice.
 xpath::TupleSet Drain(AcqEnumerator& e) {
   xpath::TupleSet out;
   while (true) {
     Result<std::optional<xpath::NodeTuple>> next = e.Next();
     EXPECT_TRUE(next.ok()) << next.status();
     if (!next.ok() || !next->has_value()) break;
-    out.insert(std::move(**next));
+    EXPECT_TRUE(out.insert(**next).second) << "repeated tuple";
   }
   return out;
 }
@@ -133,8 +133,8 @@ TEST_P(AcqEnumeratorRandomTest, AgreesWithYannakakis) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AcqEnumeratorRandomTest,
                          ::testing::Values(51, 52, 53, 54, 55, 56));
 
-// When every variable is an output variable, the underlying DFS produces
-// each answer exactly once: the dedup set never rejects.
+// When every variable is an output variable, the DFS walks today's
+// frames and produces each answer exactly once.
 TEST(AcqEnumeratorTest, FullOutputHasNoDuplicateWork) {
   Rng rng(99);
   RandomTreeOptions opts;
@@ -146,14 +146,12 @@ TEST(AcqEnumeratorTest, FullOutputHasNoDuplicateWork) {
   q.output_vars = {"x", "y", "z"};
   Result<AcqEnumerator> e = AcqEnumerator::Create(t, q);
   ASSERT_TRUE(e.ok());
-  // Injective projection: the enumerator keeps no dedup state at all.
-  EXPECT_FALSE(e->dedup_active());
-  EXPECT_EQ(e->dedup_entries(), 0u);
+  const std::size_t resident = e->resident_bytes();
   std::size_t count = 0;
   while ((*e->Next()).has_value()) ++count;
   EXPECT_EQ(count, e->produced());
   EXPECT_EQ(count, AnswerAcqYannakakis(t, q)->size());
-  EXPECT_EQ(e->dedup_entries(), 0u);
+  EXPECT_EQ(e->resident_bytes(), resident);
 }
 
 // E11 ablation correctness: disabling the MC filter and/or memoization
@@ -210,96 +208,29 @@ TEST_P(AblationTest, AllConfigurationsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AblationTest,
                          ::testing::Values(61, 62, 63, 64));
 
-// ----------------------------------------------------------- TupleDedup
+// ------------------------------------------ projection without dedup
 
-TEST(TupleDedupTest, DistinctAndDuplicateInserts) {
-  TupleDedup dedup(2);
-  EXPECT_TRUE(*dedup.Insert({1, 2}));
-  EXPECT_TRUE(*dedup.Insert({2, 1}));
-  EXPECT_FALSE(*dedup.Insert({1, 2}));
-  EXPECT_EQ(dedup.size(), 2u);
-}
-
-TEST(TupleDedupTest, ZeroArityRemembersOneTuple) {
-  TupleDedup dedup(0);
-  EXPECT_TRUE(*dedup.Insert({}));
-  EXPECT_FALSE(*dedup.Insert({}));
-  EXPECT_EQ(dedup.size(), 1u);
-}
-
-// The hashed structure must agree with an ordered-set oracle through
-// growth and spills: same accepted/rejected verdict for every insert.
-TEST(TupleDedupTest, AgreesWithSetOracleAcrossSpills) {
-  Rng rng(77);
-  TupleDedupOptions options;
-  options.max_bytes = 1u << 13;  // 8 KiB: forces several spills
-  options.overflow = TupleDedupOptions::Overflow::kSpill;
-  TupleDedup dedup(3, options);
-  std::set<xpath::NodeTuple> oracle;
-  std::size_t admitted = 0;
-  for (int i = 0; i < 4000; ++i) {
-    xpath::NodeTuple t = {static_cast<NodeId>(rng.Below(8)),
-                          static_cast<NodeId>(rng.Below(8)),
-                          static_cast<NodeId>(rng.Below(8))};
-    Result<bool> fresh = dedup.Insert(t);
-    // 8^3 distinct tuples = 6 KiB of raw data: always within budget.
-    ASSERT_TRUE(fresh.ok()) << fresh.status();
-    EXPECT_EQ(*fresh, oracle.insert(t).second) << "insert " << i;
-    if (*fresh) ++admitted;
+/// Drains `e`, checking that resident_bytes() reads the same after the
+/// first answer and after the last one.
+xpath::TupleSet DrainWithFlatMemory(AcqEnumerator& e) {
+  xpath::TupleSet out;
+  std::size_t first_resident = 0;
+  while (true) {
+    Result<std::optional<xpath::NodeTuple>> next = e.Next();
+    EXPECT_TRUE(next.ok()) << next.status();
+    if (!next.ok() || !next->has_value()) break;
+    EXPECT_TRUE(out.insert(**next).second) << "repeated tuple";
+    if (out.size() == 1) first_resident = e.resident_bytes();
   }
-  EXPECT_EQ(dedup.size(), oracle.size());
-  EXPECT_EQ(admitted, oracle.size());
-  EXPECT_GT(dedup.spills(), 0u);
-  EXPECT_LE(dedup.memory_bytes(), options.max_bytes);
+  EXPECT_EQ(e.resident_bytes(), first_resident);
+  return out;
 }
-
-TEST(TupleDedupTest, FailPolicyReportsResourceExhausted) {
-  TupleDedupOptions options;
-  options.max_bytes = 512;
-  options.overflow = TupleDedupOptions::Overflow::kFail;
-  TupleDedup dedup(2, options);
-  Status failure;
-  for (NodeId i = 0; i < 10000; ++i) {
-    Result<bool> fresh = dedup.Insert({i, i + 1});
-    if (!fresh.ok()) {
-      failure = fresh.status();
-      break;
-    }
-  }
-  EXPECT_EQ(failure.code(), StatusCode::kResourceExhausted) << failure;
-  EXPECT_EQ(dedup.spills(), 0u);
-}
-
-TEST(TupleDedupTest, SpillPolicyHoldsMoreThenReportsResourceExhausted) {
-  auto fill = [](TupleDedupOptions::Overflow overflow) {
-    TupleDedupOptions options;
-    options.max_bytes = 2048;
-    options.overflow = overflow;
-    TupleDedup dedup(2, options);
-    for (NodeId i = 0;; ++i) {
-      Result<bool> fresh = dedup.Insert({i, i + 1});
-      if (!fresh.ok()) {
-        EXPECT_EQ(fresh.status().code(), StatusCode::kResourceExhausted);
-        return dedup.size();
-      }
-    }
-  };
-  const std::size_t fail_capacity =
-      fill(TupleDedupOptions::Overflow::kFail);
-  const std::size_t spill_capacity =
-      fill(TupleDedupOptions::Overflow::kSpill);
-  // Compaction packs tuples ~raw-density, so the same budget holds more.
-  EXPECT_GT(spill_capacity, fail_capacity);
-}
-
-// --------------------------------------- bounded dedup in the enumerator
 
 // A projected variable of degree >= 3 survives the elimination pass (it
-// cannot be composed away), so the dedup structure engages: a star tree
-// makes the projected common-ancestor variable collapse many
-// assignments onto each output triple. A tiny budget must fail with
-// kResourceExhausted, stickily.
-TEST(AcqEnumeratorTest, ProjectionDedupBudgetSurfacesResourceExhausted) {
+// cannot be composed away): on a star its many assignments collapse
+// onto each output triple, and the output frames under it run extension
+// checks instead of remembering what they emitted.
+TEST(AcqEnumeratorTest, StarProjectionDrainsDistinctWithFlatMemory) {
   Tree t = *Tree::ParseTerm("r(" + [] {
     std::string kids = "a";
     for (int i = 0; i < 60; ++i) kids += ",a";
@@ -310,29 +241,17 @@ TEST(AcqEnumeratorTest, ProjectionDedupBudgetSurfacesResourceExhausted) {
   q.atoms.push_back(Atom(Axis::kChild, "a", "v", "y"));
   q.atoms.push_back(Atom(Axis::kDescendant, "a", "v", "z"));
   q.output_vars = {"x", "y", "z"};
-  AcqEnumeratorOptions options;
-  options.dedup.max_bytes = 256;
-  options.dedup.overflow = TupleDedupOptions::Overflow::kFail;
-  Result<AcqEnumerator> e = AcqEnumerator::Create(t, q, std::move(options));
+  Result<AcqEnumerator> e = AcqEnumerator::Create(t, q);
   ASSERT_TRUE(e.ok());
-  EXPECT_TRUE(e->dedup_active());
-  Status failure;
-  while (true) {
-    Result<std::optional<xpath::NodeTuple>> next = e->Next();
-    if (!next.ok()) {
-      failure = next.status();
-      break;
-    }
-    if (!next->has_value()) break;
-  }
-  EXPECT_EQ(failure.code(), StatusCode::kResourceExhausted) << failure;
-  EXPECT_EQ(e->Next().status().code(), StatusCode::kResourceExhausted);
+  const xpath::TupleSet answers = DrainWithFlatMemory(*e);
+  EXPECT_EQ(answers.size(), 61u * 61u * 61u);
+  EXPECT_EQ(answers, *AnswerAcqYannakakis(t, q));
+  EXPECT_EQ(e->produced(), answers.size());
 }
 
-TEST(AcqEnumeratorTest, ProjectionWithinBudgetMatchesBatchAnswer) {
+TEST(AcqEnumeratorTest, CommonAncestorProjectionMatchesBatchAnswer) {
   // Common-ancestor triples: the projected v ranges over every common
-  // ancestor, so each output tuple is reached many times and only the
-  // dedup keeps the stream distinct.
+  // ancestor, so each output tuple has many assignments.
   Rng rng(123);
   RandomTreeOptions opts;
   opts.num_nodes = 12;
@@ -342,19 +261,74 @@ TEST(AcqEnumeratorTest, ProjectionWithinBudgetMatchesBatchAnswer) {
   q.atoms.push_back(Atom(Axis::kDescendant, "*", "v", "y"));
   q.atoms.push_back(Atom(Axis::kDescendant, "*", "v", "z"));
   q.output_vars = {"x", "y", "z"};
-  AcqEnumeratorOptions options;
-  options.dedup.max_bytes = 1u << 16;
-  options.dedup.overflow = TupleDedupOptions::Overflow::kSpill;
-  Result<AcqEnumerator> e = AcqEnumerator::Create(t, q, std::move(options));
+  Result<AcqEnumerator> e = AcqEnumerator::Create(t, q);
   ASSERT_TRUE(e.ok());
-  EXPECT_TRUE(e->dedup_active());
-  EXPECT_EQ(Drain(*e), *AnswerAcqYannakakis(t, q));
-  EXPECT_EQ(e->dedup_entries(), e->produced());
+  EXPECT_EQ(DrainWithFlatMemory(*e), *AnswerAcqYannakakis(t, q));
 }
+
+// Randomized projected ACQs against the naive oracle. Variable 0 is a
+// hub that most atoms hang off and is usually projected away, so it
+// survives elimination with degree >= 3 and the frames below it run
+// extension checks. Cases also repeat output variables, split into
+// several components, merge variables by equality, and project every
+// variable away.
+class ProjectedAcqDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ProjectedAcqDifferentialTest, DistinctAndEqualToNaive) {
+  Rng rng(GetParam());
+  const std::vector<std::string> names = {"v", "a", "b", "c", "d", "e"};
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t num_vars =
+        rng.Chance(1, 4) ? 1 + rng.Below(3) : 4 + rng.Below(3);
+    // The naive oracle walks |t|^#vars assignments: keep that <= 6 * 10^4.
+    const std::size_t max_nodes =
+        num_vars <= 4 ? 14 : num_vars == 5 ? 9 : 6;
+    RandomTreeOptions opts;
+    opts.num_nodes = 1 + rng.Below(max_nodes);
+    Tree t = RandomTree(rng, opts);
+
+    ConjunctiveQuery q;
+    for (std::size_t i = 1; i < num_vars; ++i) {
+      if (rng.Chance(1, 6)) continue;  // starts another component
+      const std::string& other = names[rng.Chance(3, 4) ? 0 : rng.Below(i)];
+      if (rng.Chance(1, 12)) {
+        q.equalities.push_back({names[i], other});
+        continue;
+      }
+      const std::string label =
+          rng.Chance(3, 4) ? "*" : GeneratorLabel(rng.Below(2));
+      q.atoms.push_back(rng.Chance(1, 2)
+                            ? Atom(kAllAxes[rng.Below(kAllAxes.size())],
+                                   label, other, names[i])
+                            : Atom(kAllAxes[rng.Below(kAllAxes.size())],
+                                   label, names[i], other));
+    }
+    if (!rng.Chance(1, 8)) {
+      for (std::size_t i = 0; i < num_vars; ++i) {
+        if (i == 0 ? rng.Chance(1, 5) : rng.Chance(3, 4)) {
+          q.output_vars.push_back(names[i]);
+        }
+      }
+      if (!q.output_vars.empty() && rng.Chance(1, 4)) {
+        q.output_vars.push_back(
+            q.output_vars[rng.Below(q.output_vars.size())]);
+      }
+    }
+
+    Result<AcqEnumerator> e = AcqEnumerator::Create(t, q);
+    ASSERT_TRUE(e.ok()) << e.status();
+    EXPECT_EQ(Drain(*e), AnswerCqNaive(t, q))
+        << q.ToString() << "\ntree: " << t.ToTerm();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProjectedAcqDifferentialTest,
+                         ::testing::Values(71, 72, 73, 74, 75, 76, 77, 78));
 
 // The elimination pass strips projected chain variables entirely: a
 // two-atom chain with one output variable enumerates over exactly that
-// variable, no dedup state, still matching the batch oracle.
+// variable, still matching the batch oracle.
 TEST(AcqEnumeratorTest, ChainProjectionEliminatesToInjective) {
   Rng rng(124);
   RandomTreeOptions opts;
@@ -366,9 +340,7 @@ TEST(AcqEnumeratorTest, ChainProjectionEliminatesToInjective) {
   q.output_vars = {"y"};
   Result<AcqEnumerator> e = AcqEnumerator::Create(t, q);
   ASSERT_TRUE(e.ok());
-  EXPECT_FALSE(e->dedup_active());
   EXPECT_EQ(Drain(*e), *AnswerAcqYannakakis(t, q));
-  EXPECT_EQ(e->dedup_entries(), 0u);
 }
 
 // ------------------------------------------------ cooperative cancellation

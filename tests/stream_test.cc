@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/compiled_query.h"
 #include "engine/document_store.h"
 #include "engine/query_service.h"
+#include "fo/enumerate.h"
 #include "tree/generators.h"
 #include "xpath/eval.h"
 #include "xpath/parser.h"
@@ -121,6 +123,67 @@ TupleSet NaiveAnswers(const Tree& t, const std::string& query) {
   return eval.EvalNaryNaive(**path, vars);
 }
 
+/// Every batch shape of every query in `queries` on `t` agrees with the
+/// drained stream and with the brute-force oracle, emits no tuple twice,
+/// and is identical at 1 and 4 threads.
+void ExpectBatchShapesEqualDrainedStreamAndNaive(
+    const Tree& t, const std::vector<const char*>& queries) {
+  DocumentStore store;
+  const DocumentId id = store.Insert(Tree(t));
+
+  std::vector<TupleSet> expected;
+  for (const char* query : queries) {
+    expected.push_back(NaiveAnswers(t, query));
+  }
+
+  std::vector<QueryJob> jobs;
+  for (const char* query : queries) {
+    for (ResultShape shape : {ResultShape::kFullRelation, ResultShape::kCount,
+                              ResultShape::kBoolean}) {
+      jobs.push_back({id, query, shape});
+    }
+  }
+  std::vector<QueryResult> first_run;
+  for (std::size_t threads : {1u, 4u}) {
+    QueryService service({.num_threads = threads, .document_store = &store});
+    std::vector<QueryResult> results = service.EvaluateBatch(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const char* query = queries[i];
+      const QueryResult& full = results[3 * i];
+      const QueryResult& count = results[3 * i + 1];
+      const QueryResult& boolean = results[3 * i + 2];
+      for (const QueryResult* r : {&full, &count, &boolean}) {
+        ASSERT_TRUE(r->status.ok()) << query << ": " << r->status;
+        EXPECT_EQ(r->plan.engine, EnginePlan::kNaryAnswer);
+        EXPECT_EQ(r->plan.backing, full.plan.backing) << query;
+      }
+      Result<QueryStream> stream = service.OpenStream(id, query);
+      ASSERT_TRUE(stream.ok()) << query << ": " << stream.status();
+      EXPECT_EQ(stream->stats().plan.backing, full.plan.backing) << query;
+      const std::vector<NodeTuple> drained = DrainStream(*stream, 256);
+      EXPECT_EQ(AsSet(drained), full.tuples)
+          << query << " on " << t.size() << " nodes";
+      EXPECT_EQ(drained.size(), full.tuples.size())
+          << query << ": stream emitted a duplicate";
+      EXPECT_EQ(full.tuples, expected[i])
+          << query << " on " << t.size() << " nodes";
+      EXPECT_EQ(count.count, full.tuples.size()) << query;
+      EXPECT_TRUE(count.tuples.empty()) << query;
+      EXPECT_EQ(boolean.boolean, !full.tuples.empty()) << query;
+      EXPECT_TRUE(boolean.tuples.empty()) << query;
+    }
+    if (first_run.empty()) {
+      first_run = std::move(results);
+    } else {
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        EXPECT_EQ(results[j].tuples, first_run[j].tuples) << jobs[j].query;
+        EXPECT_EQ(results[j].count, first_run[j].count) << jobs[j].query;
+      }
+    }
+  }
+}
+
 TEST(StreamDifferentialTest, BatchShapesEqualDrainedStreamAndNaive) {
   // A batch n-ary job drains the backing a stream pulls, so every batch
   // shape must agree with the drained stream and with the brute-force
@@ -129,60 +192,32 @@ TEST(StreamDifferentialTest, BatchShapesEqualDrainedStreamAndNaive) {
     Rng tree_rng(num_nodes + 3);
     RandomTreeOptions opts;
     opts.num_nodes = num_nodes;
-    Tree t = RandomTree(tree_rng, opts);
-    DocumentStore store;
-    const DocumentId id = store.Insert(Tree(t));
+    ExpectBatchShapesEqualDrainedStreamAndNaive(
+        RandomTree(tree_rng, opts),
+        {std::begin(kNaryQueries), std::end(kNaryQueries)});
+  }
+}
 
-    std::vector<TupleSet> expected;
-    for (const char* query : kNaryQueries) {
-      expected.push_back(NaiveAnswers(t, query));
-    }
+/// ACQ templates whose projected anchor keeps degree >= 3 after
+/// elimination, so the output frames under it run extension checks. In
+/// the first, each `$v` step jumps to an unconstrained node; the others
+/// tie every output variable to the anchor.
+const char* const kProjectedQueries[] = {
+    "descendant::*[child::*/$x][child::*/$y]/$z",
+    "self::*[child::*[. is $a]][child::*[. is $b]][child::*[. is $c]]",
+    "descendant::*[descendant::a[. is $x]][following_sibling::*[. is $y]]"
+    "/child::*[. is $z]",
+};
 
-    std::vector<QueryJob> jobs;
-    for (const char* query : kNaryQueries) {
-      for (ResultShape shape : {ResultShape::kFullRelation,
-                                ResultShape::kCount, ResultShape::kBoolean}) {
-        jobs.push_back({id, query, shape});
-      }
-    }
-    std::vector<QueryResult> first_run;
-    for (std::size_t threads : {1u, 4u}) {
-      QueryService service({.num_threads = threads, .document_store = &store});
-      std::vector<QueryResult> results = service.EvaluateBatch(jobs);
-      ASSERT_EQ(results.size(), jobs.size());
-      for (std::size_t i = 0; i < std::size(kNaryQueries); ++i) {
-        const char* query = kNaryQueries[i];
-        const QueryResult& full = results[3 * i];
-        const QueryResult& count = results[3 * i + 1];
-        const QueryResult& boolean = results[3 * i + 2];
-        for (const QueryResult* r : {&full, &count, &boolean}) {
-          ASSERT_TRUE(r->status.ok()) << query << ": " << r->status;
-          EXPECT_EQ(r->plan.engine, EnginePlan::kNaryAnswer);
-          EXPECT_EQ(r->plan.backing, full.plan.backing) << query;
-        }
-        Result<QueryStream> stream = service.OpenStream(id, query);
-        ASSERT_TRUE(stream.ok()) << query << ": " << stream.status();
-        EXPECT_EQ(stream->stats().plan.backing, full.plan.backing) << query;
-        const std::vector<NodeTuple> drained = DrainStream(*stream, 256);
-        EXPECT_EQ(AsSet(drained), full.tuples)
-            << query << " on " << num_nodes << " nodes";
-        EXPECT_EQ(drained.size(), full.tuples.size()) << query;
-        EXPECT_EQ(full.tuples, expected[i])
-            << query << " on " << num_nodes << " nodes";
-        EXPECT_EQ(count.count, full.tuples.size()) << query;
-        EXPECT_TRUE(count.tuples.empty()) << query;
-        EXPECT_EQ(boolean.boolean, !full.tuples.empty()) << query;
-        EXPECT_TRUE(boolean.tuples.empty()) << query;
-      }
-      if (first_run.empty()) {
-        first_run = std::move(results);
-      } else {
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-          EXPECT_EQ(results[j].tuples, first_run[j].tuples) << jobs[j].query;
-          EXPECT_EQ(results[j].count, first_run[j].count) << jobs[j].query;
-        }
-      }
-    }
+TEST(StreamDifferentialTest, ProjectedTemplatesEqualDrainedStreamAndNaive) {
+  // The naive oracle walks |t|^3 assignments, so the trees stay small.
+  for (std::size_t num_nodes : {12u, 30u}) {
+    Rng tree_rng(num_nodes + 5);
+    RandomTreeOptions opts;
+    opts.num_nodes = num_nodes;
+    ExpectBatchShapesEqualDrainedStreamAndNaive(
+        RandomTree(tree_rng, opts),
+        {std::begin(kProjectedQueries), std::end(kProjectedQueries)});
   }
 }
 
@@ -493,35 +528,64 @@ TEST(StreamTest, CancelIsObservedMidPull) {
   EXPECT_TRUE(stream->done());
 }
 
-TEST(StreamTest, EnumeratorDedupBudgetFailsStreamWithResourceExhausted) {
+TEST(StreamTest, ProjectedEnumeratorPagesStayDistinctWithFlatBacking) {
   Tree t = PathTree(600);
   QueryService service({.num_threads = 1});
-  StreamOptions options;
-  options.max_dedup_bytes = 512;  // projection dedup cannot fit
   // The two filters keep the projected anchor variable at degree 3, so
-  // it survives elimination and the dedup engages over the huge
-  // (x, y, z) output space.
+  // it survives elimination and the output frames under it run
+  // extension checks over the huge (x, y, z) output space.
   Result<QueryStream> stream = service.OpenStream(
-      t, "descendant::*[child::*/$x][child::*/$y]/$z", options);
+      t, "descendant::*[child::*/$x][child::*/$y]/$z");
   ASSERT_TRUE(stream.ok()) << stream.status();
   ASSERT_EQ(stream->stats().plan.backing, StreamBacking::kEnumerator);
-  Status failure;
-  while (true) {
+  std::set<NodeTuple> seen;
+  std::size_t first_page_bytes = 0;
+  for (int page = 0; page < 3; ++page) {
     Result<std::vector<NodeTuple>> batch = stream->NextBatch(64);
-    if (!batch.ok()) {
-      failure = batch.status();
-      break;
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_EQ(batch->size(), 64u);
+    for (const NodeTuple& tuple : *batch) {
+      EXPECT_TRUE(seen.insert(tuple).second) << "repeated tuple";
     }
-    if (batch->empty()) break;
+    if (page == 0) first_page_bytes = stream->stats().backing_bytes;
   }
-  EXPECT_EQ(failure.code(), StatusCode::kResourceExhausted) << failure;
+  EXPECT_GT(first_page_bytes, 0u);
+  EXPECT_EQ(stream->stats().backing_bytes, first_page_bytes);
+  EXPECT_EQ(stream->stats().dedup_entries, 0u);
+}
+
+// Finding-6's query on PathTree(n): the enumerator's resident bytes
+// count its frame and extension-check candidate sets, read the same
+// after the first answer and after the full drain, and stay within
+// k * vars * ceil(n/64) words plus a constant -- they grow with n, never
+// with the n^3 answers.
+TEST(StreamTest, ProjectedEnumeratorMemoryIsFixedByTheTree) {
+  Result<std::shared_ptr<const CompiledQuery>> q =
+      CompileQuery("descendant::*[child::*/$x][child::*/$y]/$z");
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_NE((*q)->acq, nullptr);
+  const std::size_t k = 3;
+  const std::size_t vars = (*q)->acq->AllVars().size();
+  for (const std::size_t n : {20u, 40u, 60u}) {
+    Tree t = PathTree(n);
+    Result<fo::AcqEnumerator> e = fo::AcqEnumerator::Create(t, *(*q)->acq);
+    ASSERT_TRUE(e.ok()) << e.status();
+    ASSERT_TRUE((*e->Next()).has_value());
+    const std::size_t first = e->resident_bytes();
+    std::size_t answers = 1;
+    while ((*e->Next()).has_value()) ++answers;
+    EXPECT_EQ(answers, n * n * n);
+    EXPECT_EQ(e->resident_bytes(), first) << n << " nodes";
+    EXPECT_LE(first, k * vars * ((n + 63) / 64) * sizeof(std::uint64_t) + 256)
+        << n << " nodes";
+  }
 }
 
 // ------------------------------------------- batch n-ary typed failures
 //
 // A batch n-ary job drains the backing a stream pulls, so it fails the
-// way a stream does: cancelled, past its deadline, or out of dedup
-// budget -- each a typed status with no partial payload.
+// way a stream does: cancelled or past its deadline -- each a typed
+// status with no partial payload.
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr int kTimingSlack = 10;
@@ -581,15 +645,13 @@ TEST(BatchNaryFailureTest, DeadlineStopsAFullRelationDrainMidRun) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(50) * kTimingSlack);
 }
 
-TEST(BatchNaryFailureTest, DedupBudgetExhaustionIsResourceExhausted) {
-  // The root of a star, with twelve children bound to twelve variables:
-  // the projected anchor keeps degree 13, survives elimination, and the
-  // enumerator dedups 4^12 distinct tuples inside the default budget
-  // (fo::TupleDedupOptions, 64 MiB), which ~1.4M 12-tuples exhaust. A
-  // count job keeps no tuples of its own, so the dedup is all the
-  // memory the job holds.
+TEST(BatchNaryTest, StarRootProjectionCountsWithoutAnswerMemory) {
+  // The root of a star, with eight children bound to eight variables:
+  // the projected anchor keeps degree 9 and survives elimination, so
+  // every output frame runs an extension check. The job drains all 4^8
+  // distinct tuples with no memory of the ones it counted.
   std::string query = "self::*";
-  for (char v = 'a'; v < 'a' + 12; ++v) {
+  for (char v = 'a'; v < 'a' + 8; ++v) {
     query += std::string("[child::*[. is $") + v + "]]";
   }
   DocumentStore store;
@@ -598,10 +660,9 @@ TEST(BatchNaryFailureTest, DedupBudgetExhaustionIsResourceExhausted) {
   std::vector<QueryResult> results =
       service.EvaluateBatch({{id, query, ResultShape::kCount}});
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status.code(), StatusCode::kResourceExhausted)
-      << results[0].status;
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status;
   EXPECT_EQ(results[0].plan.backing, StreamBacking::kEnumerator);
-  EXPECT_EQ(results[0].count, 0u);
+  EXPECT_EQ(results[0].count, 65536u);  // 4^8
 }
 
 TEST(StreamTest, RejectsTupleStreamShapeOnBatchJobs) {
@@ -651,7 +712,7 @@ TEST(StreamTest, CompileErrorsAndUnknownIdsSurfaceAtOpen) {
 // A query with >= 10^6 answers serves its first 100 tuples with peak
 // memory independent of the answer count: the enumerator's
 // answer-dependent state (DFS frames; after projection-variable
-// elimination the projection is injective, so no dedup) must not grow
+// elimination every frame is an output variable) must not grow
 // between a ~3 * 10^5-answer and a ~10^6-answer instance of the same
 // query shape, and must be orders of magnitude below the materialized
 // footprint.
@@ -691,7 +752,7 @@ TEST(StreamAcceptanceTest, FirstTuplesOfMillionAnswerQueryStayBounded) {
     const StreamStats stats = stream->stats();
     EXPECT_EQ(stats.produced, 100u);
     EXPECT_EQ(stats.cursor, 100u);
-    EXPECT_EQ(stats.dedup_entries, 0u);  // injective after elimination
+    EXPECT_EQ(stats.dedup_entries, 0u);  // no answer memory
     // Answer-dependent state stays tiny: DFS frames are 3 bitvectors of
     // |t| bits plus cursors -- nowhere near the ~10^8 bytes a
     // materialized 1.04M-tuple set would take.

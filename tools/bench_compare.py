@@ -47,6 +47,7 @@ FLAGGED_SECTIONS = [
     "BM_DensifyRunList",
     "BM_NaryBatchVsDrain",
     "BM_NaryUnionBatch",
+    "BM_ProjectedEnumeration",
 ]
 
 # Families that carry no timing bar but must still be measured: a run

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (run by the CI docs job and ctest).
 
-Three checks, so the docs/ subsystem cannot rot silently:
+Four checks, so the docs/ subsystem cannot rot silently:
 
 1. Every intra-repository markdown link in tracked *.md files resolves:
    the target file exists, and a #fragment (same-file or cross-file)
@@ -16,6 +16,10 @@ Three checks, so the docs/ subsystem cannot rot silently:
 3. Every flagged benchmark family -- the FLAGGED_SECTIONS list of
    tools/bench_compare.py, read from that file rather than copied -- has
    a row in the families table of bench/README.md.
+4. Every backticked repository path (`src/x.cc`, `fo/acq.h`, with or
+   without a `:line` or `::Test` suffix) in docs/*.md, README.md and
+   bench/README.md names an existing file, from the repository root or
+   from src/, so deleting a file cannot leave the prose pointing at it.
 
 Exit code 0 iff all checks pass; failures are listed one per line.
 """
@@ -190,10 +194,45 @@ def check_bench_readme_rows():
     ]
 
 
+CODE_SPAN_RE = re.compile(r"`([^`\s]+)`")
+# A path has a directory part and a file extension; `:12`, `:12-14` or
+# `::TestName` may follow it.
+REPO_PATH_RE = re.compile(
+    r"([\w.\-]+(?:/[\w.\-]+)+\.[A-Za-z]+)(?::\d+(?:[-–]\d+)?|::\w+)?")
+
+
+def check_backticked_paths():
+    md_files = sorted((REPO / "docs").glob("*.md"))
+    md_files += [REPO / "README.md", REPO / "bench" / "README.md"]
+    errors = []
+    for md in md_files:
+        if not md.exists():
+            continue
+        in_code = False
+        for number, line in enumerate(
+                md.read_text(encoding="utf-8").splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                in_code = not in_code
+                continue
+            if in_code:
+                continue
+            for span in CODE_SPAN_RE.findall(line):
+                match = REPO_PATH_RE.fullmatch(span)
+                if match is None:
+                    continue
+                path = match.group(1)
+                if not ((REPO / path).is_file() or
+                        (REPO / "src" / path).is_file()):
+                    errors.append(f"{md.relative_to(REPO)}:{number}: "
+                                  f"`{span}` names no file in the "
+                                  "repository")
+    return errors
+
+
 def main():
     md_files = tracked_markdown_files()
     errors = (check_links(md_files) + check_architecture_coverage() +
-              check_bench_readme_rows())
+              check_bench_readme_rows() + check_backticked_paths())
     for error in errors:
         print(f"FAIL: {error}")
     print(f"check_docs: {len(md_files)} markdown files, "
