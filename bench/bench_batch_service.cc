@@ -1154,6 +1154,95 @@ BENCHMARK(BM_SpillThrash)
     ->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
+// One cold_churn-style write on each layer it crosses. BM_ParseTerm (L1)
+// parses the term of a random document (6 labels, at most 8 children, the
+// shape perfbench's cold_churn writes); counter `ns_per_node`.
+// BM_StoreChurn (L5) is the whole write against a spilling store: the
+// store keeps a window of 6 live documents with 4 resident, so each
+// iteration's InsertTerm spills one document to a segment and its Remove
+// deletes the oldest document's segment. Counters: `spills_per_write`,
+// `ns_per_node`. CI fails if either section goes missing from
+// BENCH_batch_service.json.
+
+std::string ChurnTerm(std::size_t nodes, std::uint64_t seed) {
+  Rng rng(seed);
+  return RandomTree(rng, {.num_nodes = nodes,
+                          .alphabet_size = 6,
+                          .max_children = 8})
+      .ToTerm();
+}
+
+void BM_ParseTerm(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  const std::string term = ChurnTerm(nodes, 79);
+  for (auto _ : state) {
+    Result<Tree> tree = Tree::ParseTerm(term);
+    if (!tree.ok()) {
+      state.SkipWithError(tree.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(tree.value());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["ns_per_node"] = benchmark::Counter(
+      static_cast<double>(nodes) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ParseTerm)
+    ->Arg(4096)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_StoreChurn(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kTerms = 8;
+  constexpr std::size_t kWindow = 6;
+  std::vector<std::string> terms;
+  for (std::size_t i = 0; i < kTerms; ++i) {
+    terms.push_back(ChurnTerm(nodes, 80 + i));
+  }
+  const std::string dir = BenchScratchDir();
+  std::uint64_t failures = 0;
+  std::vector<engine::DocumentId> live;
+  std::uint64_t spills = 0;
+  {
+    engine::DocumentStore store({.num_shards = 2,
+                                 .spill_dir = dir,
+                                 .max_resident_docs = 4});
+    std::size_t next = 0;
+    for (; next < kWindow; ++next) {
+      auto id = store.InsertTerm(terms[next % kTerms]);
+      if (id.ok()) live.push_back(id.value());
+    }
+    const std::uint64_t spills_before = store.stats().doc_spills;
+    for (auto _ : state) {
+      auto id = store.InsertTerm(terms[next++ % kTerms]);
+      if (!id.ok() || !store.Remove(live.front())) ++failures;
+      live.erase(live.begin());
+      if (id.ok()) live.push_back(id.value());
+    }
+    spills = store.stats().doc_spills - spills_before;
+    for (const engine::DocumentId id : live) store.Remove(id);
+  }
+  ::rmdir(dir.c_str());
+  if (failures != 0) {
+    state.SkipWithError("churn write failed");
+    return;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["spills_per_write"] =
+      state.iterations() > 0 ? static_cast<double>(spills) /
+                                   static_cast<double>(state.iterations())
+                             : 0.0;
+  state.counters["ns_per_node"] = benchmark::Counter(
+      static_cast<double>(nodes) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StoreChurn)
+    ->Arg(4096)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace xpv
 

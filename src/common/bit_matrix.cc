@@ -7,6 +7,34 @@ namespace xpv {
 
 namespace {
 
+std::size_t PopcountPortable(const std::uint64_t* words, std::size_t count) {
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    bits += static_cast<std::size_t>(__builtin_popcountll(words[i]));
+  }
+  return bits;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define XPV_POPCNT_HW 1
+
+// The same loop compiled for popcnt: without the target the builtin is a
+// libgcc call per word on baseline x86-64.
+__attribute__((target("popcnt"))) std::size_t PopcountHardware(
+    const std::uint64_t* words, std::size_t count) {
+  std::size_t bits = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    bits += static_cast<std::size_t>(__builtin_popcountll(words[i]));
+  }
+  return bits;
+}
+
+bool HardwarePopcountAvailable() {
+  static const bool available = __builtin_cpu_supports("popcnt");
+  return available;
+}
+#endif  // defined(__x86_64__) && defined(__GNUC__)
+
 /// Sets bits [begin, end) in a packed word array, whole words at a time.
 /// Callers guarantee end fits in the array and begin < end.
 void SetWordRange(std::uint64_t* words, std::size_t begin, std::size_t end) {
@@ -44,6 +72,13 @@ void ClearWordRange(std::uint64_t* words, std::size_t begin, std::size_t end) {
 }
 
 }  // namespace
+
+std::size_t PopcountWords(const std::uint64_t* words, std::size_t count) {
+#ifdef XPV_POPCNT_HW
+  if (HardwarePopcountAvailable()) return PopcountHardware(words, count);
+#endif
+  return PopcountPortable(words, count);
+}
 
 void BitVector::Clear() { std::fill(words_.begin(), words_.end(), 0); }
 
@@ -115,9 +150,7 @@ bool BitVector::None() const {
 }
 
 std::size_t BitVector::Count() const {
-  std::size_t count = 0;
-  for (auto w : words_) count += static_cast<std::size_t>(__builtin_popcountll(w));
-  return count;
+  return PopcountWords(words_.data(), words_.size());
 }
 
 std::size_t BitVector::FirstSet() const { return NextSet(0); }
@@ -429,9 +462,7 @@ BitVector BitMatrix::RowsContaining(const BitVector& cols) const {
 }
 
 std::size_t BitMatrix::Count() const {
-  std::size_t count = 0;
-  for (auto w : words_) count += static_cast<std::size_t>(__builtin_popcountll(w));
-  return count;
+  return PopcountWords(words_.begin(), words_.size());
 }
 
 bool BitMatrix::None() const {

@@ -28,6 +28,11 @@
 
 namespace xpv {
 
+/// Number of set bits in words[0, count). Runs the popcnt instruction
+/// where the CPU has it (checked once, at the first call) and a portable
+/// loop elsewhere; both give the same count.
+std::size_t PopcountWords(const std::uint64_t* words, std::size_t count);
+
 /// Bit-packed vector of booleans of fixed size; one row of a BitMatrix,
 /// also used standalone for node sets.
 class BitVector {

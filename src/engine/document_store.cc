@@ -125,10 +125,13 @@ void DocumentStore::EnforceResidencyLocked(Shard& shard) {
     if (!entry.on_disk) {
       // Keep the document resident rather than risk losing it when the
       // disk misbehaves (ENOSPC and friends); the budget is best-effort
-      // in exactly this one case.
+      // in exactly this one case. No fsync: the segment only has to
+      // outlive this process's page cache, and SaveSnapshot syncs it
+      // before any manifest names it.
       if (!WriteDocumentSegment(SpillPath(id), id, entry.doc->name(),
                                 entry.doc->tree(), /*cache=*/nullptr,
-                                !entry.intern_key.empty())
+                                !entry.intern_key.empty(),
+                                SegmentSync::kVolatile)
                .ok()) {
         return;
       }
@@ -238,6 +241,7 @@ bool DocumentStore::Remove(DocumentId id) {
   MutexLock intern_lock(intern_mu_);
   std::string intern_key;
   bool segment_on_disk = false;
+  bool segment_in_manifest = false;
   {
     Shard& shard = *shards_[shard_of(id)];
     MutexLock lock(shard.mu);
@@ -250,13 +254,18 @@ bool DocumentStore::Remove(DocumentId id) {
       shard.resident.erase(it->second.res_it);
     }
     segment_on_disk = it->second.on_disk;
+    segment_in_manifest = it->second.in_manifest;
     intern_key = std::move(it->second.intern_key);
     shard.entries.erase(it);
   }
   // Delete the spill segment with the entry: a removed document must not
   // leave an orphaned doc-<id>.xpvseg behind (ids are never reused, so
-  // nothing can ever want this file again).
-  if (segment_on_disk) {
+  // nothing in this store can ever want this file again). A segment that
+  // spill_dir's manifest may name stays until a later manifest drops it:
+  // deleting it now would leave that snapshot unopenable.
+  if (segment_in_manifest) {
+    retired_segments_.push_back(id);
+  } else if (segment_on_disk) {
     std::remove(SpillPath(id).c_str());
   }
   // Drop the intern-index entry (if this id came from Intern()) so the
@@ -402,25 +411,30 @@ DocumentStoreStats DocumentStore::stats() const {
 }
 
 Status DocumentStore::SaveSnapshot(const std::string& dir) {
+  const bool into_spill_dir = dir == options_.spill_dir;
   SnapshotManifest manifest;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
     for (auto& [id, entry] : shard.entries) {
-      if (entry.doc == nullptr && entry.on_disk &&
-          dir == options_.spill_dir) {
+      if (entry.doc == nullptr && entry.on_disk && into_spill_dir) {
         // Cold document whose segment already lives in the target
         // directory: nothing to rewrite (segments of immutable documents
-        // never go stale).
+        // never go stale), but the spill path never synced it.
+        if (!entry.in_manifest) {
+          XPV_RETURN_IF_ERROR(SyncFile(SpillPath(id)));
+          entry.in_manifest = true;
+        }
         manifest.document_ids.push_back(id);
         continue;
       }
       XPV_ASSIGN_OR_RETURN(DocumentPtr doc, FaultInLocked(shard, id, entry));
       XPV_RETURN_IF_ERROR(WriteDocumentSegment(
           dir + "/" + SegmentFileName(id), id, doc->name(), doc->tree(),
-          entry.cache.get(), !entry.intern_key.empty()));
+          entry.cache.get(), !entry.intern_key.empty(),
+          SegmentSync::kDurable));
       manifest.document_ids.push_back(id);
-      if (dir == options_.spill_dir) entry.on_disk = true;
+      if (into_spill_dir) entry.on_disk = entry.in_manifest = true;
       // `doc` pins the just-written document, so this can only push
       // *earlier* documents back out -- peak residency is budget + 1.
       EnforceResidencyLocked(shard);
@@ -428,9 +442,30 @@ Status DocumentStore::SaveSnapshot(const std::string& dir) {
   }
   std::sort(manifest.document_ids.begin(), manifest.document_ids.end());
   manifest.next_document_id = next_id_.load(std::memory_order_relaxed);
-  // The manifest is written last: a crash anywhere above leaves either
-  // the previous manifest (a complete old snapshot) or none at all.
-  return WriteManifest(dir, manifest);
+  // Persist the renames of the adopted spill segments, then write the
+  // manifest last: a crash anywhere above leaves either the previous
+  // manifest (a complete old snapshot) or none at all.
+  XPV_RETURN_IF_ERROR(SyncDirectory(dir));
+  XPV_RETURN_IF_ERROR(WriteManifest(dir, manifest));
+  if (into_spill_dir) {
+    // Segments of removed documents that the new manifest leaves out are
+    // now unreachable; the ones it still names (removed after their
+    // shard was walked) wait for the next save.
+    std::vector<DocumentId> unreferenced;
+    {
+      MutexLock intern_lock(intern_mu_);
+      const auto named = [&](DocumentId id) {
+        return std::binary_search(manifest.document_ids.begin(),
+                                  manifest.document_ids.end(), id);
+      };
+      const auto split = std::partition(retired_segments_.begin(),
+                                        retired_segments_.end(), named);
+      unreferenced.assign(split, retired_segments_.end());
+      retired_segments_.erase(split, retired_segments_.end());
+    }
+    for (DocumentId id : unreferenced) std::remove(SpillPath(id).c_str());
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenSnapshot(
@@ -457,7 +492,8 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenSnapshot(
       entry.relations = std::make_shared<ppl::RelationCache>(
           store->options_.relation_cache_bytes);
     }
-    entry.on_disk = dir == store->options_.spill_dir;
+    // A segment loaded through the manifest is synced and named by it.
+    entry.on_disk = entry.in_manifest = dir == store->options_.spill_dir;
     if (segment.meta.interned) {
       // The intern key is a pure function of the tree, so recomputing it
       // beats persisting it (it can be nearly as large as the tree).

@@ -223,15 +223,21 @@ class DocumentStore {
   /// Removes a document (its id is never reused). In-flight holders of the
   /// DocumentPtr or its AxisCache stay valid; only future lookups of the
   /// id fail. The document's spill segment, if one was written, is deleted
-  /// too -- Remove never leaves an orphaned segment file behind. Returns
-  /// false if unknown.
+  /// too -- unless a MANIFEST.xpv in spill_dir may name it, in which case
+  /// the next SaveSnapshot(spill_dir) deletes it once its new manifest no
+  /// longer does, so the snapshot on disk stays openable meanwhile.
+  /// Returns false if unknown.
   bool Remove(DocumentId id);
 
   /// Writes every document (and its materialized axis relations) into
   /// `dir` as one segment per document, then the manifest last -- so `dir`
   /// holds a complete snapshot exactly when a valid MANIFEST.xpv exists.
   /// Spilled documents whose segment already lives in `dir` are not
-  /// rewritten. Shards are walked one at a time under their own mutex;
+  /// rewritten; their (unsynced) spill segments are fsynced instead, and
+  /// the directory after them, before the manifest is written -- a
+  /// manifest names only segments already on stable storage. After a save
+  /// into spill_dir, segments of removed documents the new manifest leaves
+  /// out are deleted. Shards are walked one at a time under their own mutex;
   /// documents inserted concurrently into an already-visited shard are
   /// simply absent from this snapshot.
   Status SaveSnapshot(const std::string& dir);
@@ -289,7 +295,17 @@ class DocumentStore {
     std::weak_ptr<const Document> spilled;
     /// True once this document's segment exists in spill_dir (segments of
     /// immutable documents never go stale, so spilling again is free).
+    /// Spill writes are not fsynced (SegmentSync::kVolatile): a spilled
+    /// segment need not survive a crash, because only a manifest makes a
+    /// segment reachable after a restart.
     bool on_disk = false;
+    /// True once the spill_dir segment is synced and a MANIFEST.xpv in
+    /// spill_dir may name it: OpenSnapshot(dir) with spill_dir == dir
+    /// loaded it from the manifest, or SaveSnapshot(spill_dir) synced it
+    /// for the manifest it writes. A manifest names only such segments.
+    /// Remove() leaves a named segment on disk (retired_segments_) until a
+    /// SaveSnapshot(spill_dir) writes a manifest without it.
+    bool in_manifest = false;
     std::shared_ptr<AxisCache> cache;       // null when cold / retired
     std::shared_ptr<PlanMemo> plans;         // created with the document
     /// Subrelation cache, created with the document; null iff disabled.
@@ -353,6 +369,11 @@ class DocumentStore {
   std::unordered_map<std::string, DocumentId> intern_index_
       XPV_GUARDED_BY(intern_mu_);
   std::uint64_t intern_hits_ XPV_GUARDED_BY(intern_mu_) = 0;
+  /// Removed documents whose spill_dir segment a manifest there may still
+  /// name (Entry::in_manifest). SaveSnapshot(spill_dir) deletes each one
+  /// its new manifest leaves out. Guarded by intern_mu_ because Remove()
+  /// already holds it.
+  std::vector<DocumentId> retired_segments_ XPV_GUARDED_BY(intern_mu_);
 };
 
 }  // namespace xpv::engine

@@ -27,11 +27,21 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
 }
 
-/// Writes `bytes` to `path` atomically: a temporary sibling is written
-/// and fsynced, then renamed over the target, then the directory entry
-/// is fsynced. A crash (even SIGKILL / power loss) leaves either the old
-/// file or the new one -- never a torn segment.
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
+/// Directory holding `path` ("." for a bare file name).
+std::string DirectoryOf(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? std::string(".")
+                                    : path.substr(0, slash == 0 ? 1 : slash);
+}
+
+/// Writes `bytes` to `path` atomically: a temporary sibling is written,
+/// then renamed over the target, so no reader ever opens a torn file.
+/// kDurable also fsyncs the temporary before the rename and the directory
+/// after it, so a crash (even SIGKILL / power loss) leaves either the old
+/// file or the new one. kVolatile leaves both to the page cache: after a
+/// crash the file may be missing, empty or torn.
+Status WriteFileAtomic(const std::string& path, const std::string& bytes,
+                       SegmentSync sync) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -53,7 +63,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
     }
     written += static_cast<std::size_t>(n);
   }
-  if (::fsync(fd) != 0) {
+  if (sync == SegmentSync::kDurable && ::fsync(fd) != 0) {
     const Status status = Status::Internal(ErrnoMessage("cannot fsync", tmp));
     ::close(fd);
     ::unlink(tmp.c_str());
@@ -66,30 +76,44 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
     return status;
   }
   // Persist the rename itself: fsync the containing directory.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
+  if (sync == SegmentSync::kDurable) {
+    return SyncDirectory(DirectoryOf(path));
   }
   return Status::OK();
 }
 
-/// Appends one framed section (header + payload) to `out`.
-void AppendSection(SectionType type, const std::string& payload,
-                   std::string* out) {
-  std::string header;
-  ByteWriter w(&header);
+/// Little-endian store into an already-sized buffer (the in-place
+/// counterpart of ByteWriter, for header fields patched after encoding).
+void StoreU32(std::string& out, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+void StoreU64(std::string& out, std::size_t at, std::uint64_t v) {
+  StoreU32(out, at, static_cast<std::uint32_t>(v));
+  StoreU32(out, at + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// Appends a section header for `type` with zeroed size and CRC fields;
+/// returns its offset for PatchSection.
+std::size_t BeginSection(SectionType type, std::string& out) {
+  const std::size_t at = out.size();
+  ByteWriter w(&out);
   w.U32(kSectionMagic);
   w.U32(static_cast<std::uint32_t>(type));
-  w.U64(payload.size());
-  w.U32(Crc32(payload.data(), payload.size()));
-  w.U32(Crc32(header.data(), header.size()));
-  out->append(header);
-  out->append(payload);
+  w.U64(0);  // payload bytes, patched
+  w.U32(0);  // CRC32(payload), patched
+  w.U32(0);  // CRC32(section header), patched
+  return at;
+}
+
+/// Fills in the size and both CRCs of the section whose header starts at
+/// `at` and whose payload runs to the end of `out`.
+void PatchSection(std::size_t at, std::string& out) {
+  const std::size_t payload = at + kSectionHeaderBytes;
+  const std::size_t payload_size = out.size() - payload;
+  StoreU64(out, at + 8, payload_size);
+  StoreU32(out, at + 16, Crc32(out.data() + payload, payload_size));
+  StoreU32(out, at + 20, Crc32(out.data() + at, kSectionHeaderBytes - 4));
 }
 
 struct SectionView {
@@ -259,26 +283,37 @@ std::string SegmentFileName(std::uint64_t document_id) {
 
 Status WriteDocumentSegment(const std::string& path, std::uint64_t document_id,
                             const std::string& name, const Tree& tree,
-                            const AxisCache* cache, bool interned) {
-  std::string meta;
-  {
-    ByteWriter w(&meta);
-    w.U64(document_id);
-    w.Str(name);
-    w.U8(interned ? 1 : 0);
-  }
-  std::string tree_payload;
-  {
-    ByteWriter w(&tree_payload);
-    TreeIo::EncodeTree(tree, w);
-  }
-  std::string axes;
-  std::uint32_t axes_count = 0;
-  if (cache != nullptr) {
-    ByteWriter w(&axes);
-    const std::vector<Axis> built = cache->BuiltAxes();
-    axes_count = static_cast<std::uint32_t>(built.size());
-    w.U32(axes_count);
+                            const AxisCache* cache, bool interned,
+                            SegmentSync sync) {
+  const std::vector<Axis> built =
+      cache != nullptr ? cache->BuiltAxes() : std::vector<Axis>{};
+  // One buffer, sized up front for everything but the axes: each section
+  // is encoded in place behind a placeholder header, whose size and CRC
+  // fields are patched once its payload is complete.
+  const std::size_t meta_bytes = 8 + 4 + name.size() + 1;
+  std::string file;
+  file.reserve(kFileHeaderBytes + 2 * kSectionHeaderBytes + meta_bytes +
+               TreeIo::EncodedTreeBytes(tree));
+  file.append(kSegmentMagic, sizeof(kSegmentMagic));
+  ByteWriter w(&file);
+  w.U32(kSnapshotFormatVersion);
+  w.U32(built.empty() ? 2 : 3);  // section count
+  w.U64(0);                      // total file bytes, patched
+  w.U32(0);                      // CRC32(file header), patched
+
+  const std::size_t meta = BeginSection(SectionType::kMeta, file);
+  w.U64(document_id);
+  w.Str(name);
+  w.U8(interned ? 1 : 0);
+  PatchSection(meta, file);
+
+  const std::size_t tree_section = BeginSection(SectionType::kTree, file);
+  TreeIo::EncodeTree(tree, w);
+  PatchSection(tree_section, file);
+
+  if (!built.empty()) {
+    const std::size_t axes = BeginSection(SectionType::kAxes, file);
+    w.U32(static_cast<std::uint32_t>(built.size()));
     for (Axis axis : built) {
       w.U32(static_cast<std::uint32_t>(axis));
       // Persist the canonical interval form regardless of the cache's
@@ -287,26 +322,41 @@ Status WriteDocumentSegment(const std::string& path, std::uint64_t document_id,
       // pre-order index without touching O(n^2) bits.
       TreeIo::EncodeIntervalMatrix(AxisIntervalMatrix(tree, axis), w);
     }
+    PatchSection(axes, file);
   }
 
-  std::string body;
-  AppendSection(SectionType::kMeta, meta, &body);
-  AppendSection(SectionType::kTree, tree_payload, &body);
-  const std::uint32_t section_count = axes_count > 0 ? 3 : 2;
-  if (axes_count > 0) AppendSection(SectionType::kAxes, axes, &body);
+  StoreU64(file, 8 + 4 + 4, file.size());  // after magic, version, count
+  StoreU32(file, kFileHeaderBytes - 4,
+           Crc32(file.data(), kFileHeaderBytes - 4));
+  return WriteFileAtomic(path, file, sync);
+}
 
-  std::string file;
-  file.reserve(kFileHeaderBytes + body.size());
-  file.append(kSegmentMagic, sizeof(kSegmentMagic));
-  {
-    ByteWriter w(&file);
-    w.U32(kSnapshotFormatVersion);
-    w.U32(section_count);
-    w.U64(kFileHeaderBytes + body.size());
-    w.U32(Crc32(file.data(), file.size()));
+Status SyncFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound("no such file '" + path + "'");
+    }
+    return Status::Internal(ErrnoMessage("cannot open", path));
   }
-  file.append(body);
-  return WriteFileAtomic(path, file);
+  const Status status =
+      ::fsync(fd) == 0 ? Status::OK()
+                       : Status::Internal(ErrnoMessage("cannot fsync", path));
+  ::close(fd);
+  return status;
+}
+
+Status SyncDirectory(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::Internal(ErrnoMessage("cannot open", dir));
+  // EINVAL: the file system cannot sync directories at all, so there is
+  // nothing more to wait for.
+  const Status status =
+      ::fsync(fd) == 0 || errno == EINVAL
+          ? Status::OK()
+          : Status::Internal(ErrnoMessage("cannot fsync", dir));
+  ::close(fd);
+  return status;
 }
 
 Result<LoadedSegment> LoadDocumentSegment(const std::string& path) {
@@ -409,7 +459,8 @@ Status WriteManifest(const std::string& dir,
   w.U64(manifest.document_ids.size());
   for (std::uint64_t id : manifest.document_ids) w.U64(id);
   w.U32(Crc32(file.data(), file.size()));
-  return WriteFileAtomic(dir + "/" + kManifestFile, file);
+  return WriteFileAtomic(dir + "/" + kManifestFile, file,
+                         SegmentSync::kDurable);
 }
 
 Result<SnapshotManifest> LoadManifest(const std::string& dir) {

@@ -109,14 +109,36 @@ struct LoadedSegment {
 /// Segment file name for a document id: "doc-<id>.xpvseg".
 std::string SegmentFileName(std::uint64_t document_id);
 
-/// Serializes one document into `path` atomically (tmp file + fsync +
-/// rename): a reader never observes a half-written segment, and a crash
-/// mid-write leaves the previous segment (or no file) behind. `cache`
-/// may be null; when present, every currently materialized axis relation
-/// is persisted in interval-run form so reload starts warm.
+/// How far a segment write goes toward stable storage.
+enum class SegmentSync {
+  /// fsync the file before the rename and the directory after it: the
+  /// segment survives a crash or power loss once the call returns.
+  kDurable,
+  /// Write + rename only; the page cache holds the bytes. Readers in any
+  /// process still never see a torn file, but after a crash the segment
+  /// may be missing, empty or torn. The store's spill path writes this
+  /// way, and DocumentStore::SaveSnapshot syncs (SyncFile) every such
+  /// segment it adopts before a manifest names it.
+  kVolatile,
+};
+
+/// Serializes one document into `path` through a temporary sibling and a
+/// rename, so a reader never observes a half-written segment; `sync`
+/// says whether the call also waits for stable storage (see SegmentSync).
+/// The file is encoded into one buffer sized up front. `cache` may be
+/// null; when present, every currently materialized axis relation is
+/// persisted in interval-run form so reload starts warm.
 Status WriteDocumentSegment(const std::string& path, std::uint64_t document_id,
                             const std::string& name, const Tree& tree,
-                            const AxisCache* cache, bool interned);
+                            const AxisCache* cache, bool interned,
+                            SegmentSync sync = SegmentSync::kDurable);
+
+/// fsyncs an existing file (a kVolatile segment being adopted into a
+/// snapshot). kNotFound when it does not exist.
+Status SyncFile(const std::string& path);
+
+/// fsyncs a directory, persisting the renames done inside it.
+Status SyncDirectory(const std::string& dir);
 
 /// Maps and decodes one segment, verifying the header, section framing,
 /// and every section CRC before any payload is interpreted.

@@ -1,5 +1,6 @@
 #include "tree/axes.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -275,14 +276,16 @@ void MarkChains(const BitVector& from, BitVector& out, Next next) {
   });
 }
 
-// True iff `from` holds at most `limit` nodes. Zero words are skipped and
-// the count stops once it passes `limit`, so the push/pull decision stays
-// a small part of a one-node step's cost.
+// True iff `from` holds at most `limit` nodes. The count runs a block of
+// words at a time and stops once it passes `limit`, so the push/pull
+// decision stays a small part of a one-node step's cost.
 bool AtMostSet(const BitVector& from, std::size_t limit) {
+  constexpr std::size_t kBlockWords = 64;
+  const std::vector<std::uint64_t>& words = from.words();
   std::size_t count = 0;
-  for (const std::uint64_t word : from.words()) {
-    if (word == 0) continue;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
+  for (std::size_t i = 0; i < words.size(); i += kBlockWords) {
+    count += PopcountWords(words.data() + i,
+                           std::min(kBlockWords, words.size() - i));
     if (count > limit) return false;
   }
   return true;

@@ -1,9 +1,9 @@
 #include "tree/tree.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
-#include <cctype>
 
 namespace xpv {
 
@@ -51,41 +51,52 @@ void Tree::BuildIndexes() {
   const NodeId n = static_cast<NodeId>(parent_.size());
   depth_.assign(n, 0);
   subtree_size_.assign(n, 1);
-  post_.assign(n, 0);
+  post_.resize(n);
   // Pre-order ids mean parents precede children: one forward sweep fills
-  // depths, one backward sweep accumulates subtree sizes bottom-up.
-  for (NodeId v = 1; v < n; ++v) depth_[v] = depth_[parent_[v]] + 1;
+  // depths (and counts fanouts and labels), one backward sweep
+  // accumulates subtree sizes bottom-up.
+  std::vector<std::uint32_t> fanout(n, 0);
+  std::vector<std::uint32_t> label_counts(labels_.size(), 0);
+  std::uint32_t max_depth = 0;
+  if (n > 0) ++label_counts[label_[0]];
+  for (NodeId v = 1; v < n; ++v) {
+    const NodeId p = parent_[v];
+    depth_[v] = depth_[p] + 1;
+    max_depth = std::max(max_depth, depth_[v]);
+    ++fanout[p];
+    ++label_counts[label_[v]];
+  }
   for (NodeId v = n; v-- > 1;) subtree_size_[parent_[v]] += subtree_size_[v];
   // post(v) = pre(v) + SubtreeSize(v) - 1 - Depth(v): v closes after its
   // whole subtree (pre + size - 1) but before its open ancestors (depth).
   for (NodeId v = 0; v < n; ++v) {
     post_[v] = v + static_cast<NodeId>(subtree_size_[v]) - 1 - depth_[v];
   }
+  // Counted above, so every posting list is allocated once, at its size.
   label_postings_.assign(labels_.size(), {});
+  for (LabelId l = 0; l < labels_.size(); ++l) {
+    label_postings_[l].reserve(label_counts[l]);
+  }
   for (NodeId v = 0; v < n; ++v) label_postings_[label_[v]].push_back(v);
   // Binary-lifting ancestor table, sized to the maximum depth.
-  std::uint32_t max_depth = 0;
-  for (NodeId v = 0; v < n; ++v) max_depth = std::max(max_depth, depth_[v]);
   std::size_t levels = 0;
   while ((std::uint64_t{1} << levels) < std::uint64_t{max_depth} + 1) ++levels;
-  up_.assign(levels, std::vector<NodeId>(n, kNoNode));
+  up_.assign(levels, {});
   if (levels > 0) up_[0] = parent_;
   for (std::size_t k = 1; k < levels; ++k) {
+    const std::vector<NodeId>& half = up_[k - 1];
+    std::vector<NodeId>& level = up_[k];
+    level.resize(n);
     for (NodeId v = 0; v < n; ++v) {
-      NodeId half = up_[k - 1][v];
-      up_[k][v] = half == kNoNode ? kNoNode : up_[k - 1][half];
+      level[v] = half[v] == kNoNode ? kNoNode : half[half[v]];
     }
   }
   // Summary statistics for the query planner's cost model.
   stats_.node_count = n;
   stats_.max_depth = max_depth;
   stats_.alphabet_size = labels_.size();
-  std::vector<std::size_t> fanout(n, 0);
-  for (NodeId v = 1; v < n; ++v) ++fanout[parent_[v]];
-  stats_.max_fanout = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    stats_.max_fanout = std::max(stats_.max_fanout, fanout[v]);
-  }
+  stats_.max_fanout =
+      n == 0 ? 0 : *std::max_element(fanout.begin(), fanout.end());
   stats_.max_label_posting = 0;
   stats_.min_label_posting = n;
   for (const std::vector<NodeId>& postings : label_postings_) {
@@ -119,7 +130,7 @@ NodeId Tree::LeastCommonAncestor(const std::vector<NodeId>& nodes) const {
 }
 
 LabelId Tree::FindLabel(std::string_view name) const {
-  auto it = label_ids_.find(std::string(name));
+  auto it = label_ids_.find(name);
   return it == label_ids_.end() ? kNoLabel : it->second;
 }
 
@@ -129,6 +140,7 @@ Tree Tree::Subtree(NodeId u) const {
   // so a single id sweep visits it in document order; closes are emitted
   // when the depth drops.
   TreeBuilder builder;
+  builder.Reserve(subtree_size_[u]);
   const NodeId end = u + static_cast<NodeId>(subtree_size_[u]);
   const std::uint32_t base_depth = depth_[u];
   std::uint32_t open = 0;  // nodes currently open in the builder
@@ -242,12 +254,47 @@ void AppendXml(const Tree& t, NodeId v, std::string* out) {
   }
 }
 
-bool IsNameStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// Character classes of the term and XML grammars, fixed to the C locale
+// (the <cctype> predicates would consult the process locale on every
+// byte): names start with [A-Za-z_] and continue with [A-Za-z0-9_.-];
+// whitespace is isspace's C-locale set.
+enum CharClass : std::uint8_t { kSpace = 1, kNameStart = 2, kNameChar = 4 };
+
+constexpr std::array<std::uint8_t, 256> MakeCharClasses() {
+  std::array<std::uint8_t, 256> classes{};
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[static_cast<unsigned char>(c)] = kSpace;
+  }
+  for (int c = 0; c < 256; ++c) {
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (alpha || c == '_') classes[c] |= kNameStart | kNameChar;
+    if (digit || c == '-' || c == '.') classes[c] |= kNameChar;
+  }
+  return classes;
 }
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-         c == '.';
+
+constexpr std::array<std::uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool Is(char c, CharClass cls) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+bool IsSpace(char c) { return Is(c, kSpace); }
+bool IsNameStart(char c) { return Is(c, kNameStart); }
+bool IsNameChar(char c) { return Is(c, kNameChar); }
+
+/// Upper bound on the node count of a term: the number of maximal
+/// name-character runs that begin with a name-start character (each
+/// label is exactly one such run). One pass, so ParseTerm can size its
+/// arrays once instead of growing them node by node.
+std::size_t CountTermLabels(std::string_view text) {
+  std::size_t labels = 0;
+  bool in_name = false;
+  for (const char c : text) {
+    if (!in_name && IsNameStart(c)) ++labels;
+    in_name = IsNameChar(c);
+  }
+  return labels;
 }
 
 }  // namespace
@@ -268,36 +315,37 @@ Result<Tree> Tree::ParseTerm(std::string_view text) {
   g_parses.fetch_add(1, std::memory_order_relaxed);
   std::size_t pos = 0;
   auto skip_ws = [&] {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
+    while (pos < text.size() && IsSpace(text[pos])) ++pos;
   };
-  auto parse_name = [&]() -> std::string {
+  auto parse_name = [&]() -> std::string_view {
     std::size_t start = pos;
     if (pos < text.size() && IsNameStart(text[pos])) {
       ++pos;
       while (pos < text.size() && IsNameChar(text[pos])) ++pos;
     }
-    return std::string(text.substr(start, pos - start));
+    return text.substr(start, pos - start);
   };
 
   TreeBuilder builder;
+  builder.Reserve(CountTermLabels(text));
   // Iterative parse of the term grammar: node := name [ '(' node
   // ((','|ws) node)* ')' ]. The builder's open stack doubles as the parse
   // stack, so arbitrarily deep inputs (e.g. a 100k-deep chain) cannot
   // overflow the call stack.
-  auto open_node = [&]() -> Status {
+  // Opens the node whose label starts after optional whitespace; false
+  // (the caller returns expected_label()) when there is no label.
+  auto open_node = [&]() -> bool {
     skip_ws();
-    std::string label = parse_name();
-    if (label.empty()) {
-      return Status::InvalidArgument("expected a label at offset " +
-                                     std::to_string(pos));
-    }
+    const std::string_view label = parse_name();
+    if (label.empty()) return false;
     builder.Open(label);
-    return Status::OK();
+    return true;
   };
-  XPV_RETURN_IF_ERROR(open_node());
+  auto expected_label = [&] {
+    return Status::InvalidArgument("expected a label at offset " +
+                                   std::to_string(pos));
+  };
+  if (!open_node()) return expected_label();
   for (bool done = false; !done;) {
     skip_ws();
     if (pos < text.size() && text[pos] == '(') {
@@ -308,7 +356,7 @@ Result<Tree> Tree::ParseTerm(std::string_view text) {
         return Status::InvalidArgument("empty child list at offset " +
                                        std::to_string(pos));
       }
-      XPV_RETURN_IF_ERROR(open_node());
+      if (!open_node()) return expected_label();
       continue;
     }
     // The just-opened node is a leaf: close it, then ascend until a next
@@ -322,7 +370,7 @@ Result<Tree> Tree::ParseTerm(std::string_view text) {
       }
       if (pos < text.size() && text[pos] == ',') {
         ++pos;
-        XPV_RETURN_IF_ERROR(open_node());
+        if (!open_node()) return expected_label();
         break;
       }
       if (pos < text.size() && text[pos] == ')') {
@@ -331,7 +379,7 @@ Result<Tree> Tree::ParseTerm(std::string_view text) {
         continue;
       }
       if (pos < text.size() && IsNameStart(text[pos])) {
-        XPV_RETURN_IF_ERROR(open_node());
+        if (!open_node()) return expected_label();
         break;
       }
       return Status::InvalidArgument("expected ',', ')' or a label at offset " +
@@ -353,10 +401,7 @@ Result<Tree> Tree::ParseXml(std::string_view text) {
   std::vector<std::string> open_tags;
 
   auto skip_ws = [&] {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
+    while (pos < text.size() && IsSpace(text[pos])) ++pos;
   };
   auto parse_name = [&]() -> std::string {
     std::size_t start = pos;
@@ -455,6 +500,15 @@ Result<Tree> Tree::ParseXml(std::string_view text) {
   return std::move(builder).Finish();
 }
 
+void TreeBuilder::Reserve(std::size_t nodes) {
+  tree_.parent_.reserve(nodes);
+  tree_.first_child_.reserve(nodes);
+  tree_.last_child_.reserve(nodes);
+  tree_.next_sibling_.reserve(nodes);
+  tree_.prev_sibling_.reserve(nodes);
+  tree_.label_.reserve(nodes);
+}
+
 NodeId TreeBuilder::Open(std::string_view label) {
   NodeId id = static_cast<NodeId>(tree_.parent_.size());
   NodeId parent = stack_.empty() ? kNoNode : stack_.back();
@@ -509,10 +563,19 @@ Result<Tree> TreeBuilder::Finish() && {
 }
 
 LabelId TreeBuilder::Intern(std::string_view label) {
-  auto [it, inserted] =
-      tree_.label_ids_.emplace(std::string(label), tree_.labels_.size());
-  if (inserted) tree_.labels_.emplace_back(label);
-  return it->second;
+  LabelId& recent = recent_by_first_byte_[static_cast<unsigned char>(
+      label.empty() ? '\0' : label[0])];
+  if (recent < tree_.labels_.size() && tree_.labels_[recent] == label) {
+    return recent;
+  }
+  // Look up before inserting: a repeated label then costs one hash and no
+  // std::string or map-node allocation.
+  auto it = tree_.label_ids_.find(label);
+  if (it != tree_.label_ids_.end()) return recent = it->second;
+  const auto id = static_cast<LabelId>(tree_.labels_.size());
+  tree_.labels_.emplace_back(label);
+  tree_.label_ids_.emplace(tree_.labels_.back(), id);
+  return recent = id;
 }
 
 }  // namespace xpv

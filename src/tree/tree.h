@@ -23,7 +23,9 @@
 #ifndef XPV_TREE_TREE_H_
 #define XPV_TREE_TREE_H_
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -186,7 +188,15 @@ class Tree {
   std::vector<NodeId> prev_sibling_;
   std::vector<LabelId> label_;
   std::vector<std::string> labels_;
-  std::unordered_map<std::string, LabelId> label_ids_;
+  /// Transparent hash: lookups by string_view build no std::string.
+  struct LabelHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, LabelId, LabelHash, std::equal_to<>>
+      label_ids_;
 
   // Document-order indexes, immutable after BuildIndexes().
   std::vector<NodeId> post_;
@@ -222,6 +232,10 @@ class TreeBuilder {
     return id;
   }
 
+  /// Reserves room for `nodes` nodes, so a builder that knows (a bound
+  /// on) the size up front allocates its arrays once.
+  void Reserve(std::size_t nodes);
+
   /// Number of currently open (unclosed) nodes.
   std::size_t open_depth() const { return stack_.size(); }
 
@@ -235,6 +249,11 @@ class TreeBuilder {
   Tree tree_;
   std::vector<NodeId> stack_;
   bool saw_root_ = false;
+  /// Last label interned per first byte: a hit costs one compare instead
+  /// of a hash lookup, and documents rarely have two hot labels that
+  /// start alike. Entries are only guesses (0 until first use), so a
+  /// lookup confirms the label before trusting one.
+  std::array<LabelId, 256> recent_by_first_byte_{};
 };
 
 }  // namespace xpv

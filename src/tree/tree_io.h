@@ -84,6 +84,9 @@ class TreeIo {
  public:
   /// Serializes `tree` (node arrays + every precomputed index) into `w`.
   static void EncodeTree(const Tree& tree, ByteWriter& w);
+  /// Exact number of bytes EncodeTree writes for `tree`, so a caller can
+  /// size its buffer once.
+  static std::size_t EncodedTreeBytes(const Tree& tree);
   /// Reconstitutes a tree without parsing or re-indexing. Validates
   /// structural invariants (pre-order parent links, id ranges, posting
   /// coverage) and fails with kDataLoss on any violation.

@@ -84,6 +84,45 @@ TEST(BitVectorTest, SetGetReset) {
   EXPECT_EQ(v.Count(), 2u);
 }
 
+TEST(BitVectorTest, CountMatchesBitLoopOnRandomVectors) {
+  // Densities from empty to full, sizes on and off word boundaries, so
+  // the popcount path is checked against a per-bit count everywhere.
+  Rng rng(91);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{63}, std::size_t{64},
+                              std::size_t{65}, std::size_t{1000},
+                              std::size_t{4096}, std::size_t{70001}}) {
+    for (const std::uint64_t per_mille : {0u, 1u, 125u, 500u, 999u, 1000u}) {
+      BitVector v(n);
+      std::size_t expected = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.Below(1000) < per_mille) v.Set(i);
+      }
+      for (std::size_t i = 0; i < n; ++i) expected += v.Get(i) ? 1 : 0;
+      EXPECT_EQ(v.Count(), expected) << n << " bits, " << per_mille << "/1000";
+      EXPECT_EQ(PopcountWords(v.words().data(), v.words().size()), expected);
+    }
+  }
+}
+
+TEST(BitMatrixTest, CountMatchesBitLoopOnRandomMatrices) {
+  Rng rng(92);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{65},
+                              std::size_t{130}}) {
+    BitMatrix m(n);
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (rng.Below(3) == 0) m.Set(i, j);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) expected += m.Get(i, j) ? 1 : 0;
+    }
+    EXPECT_EQ(m.Count(), expected) << n;
+  }
+}
+
 TEST(BitVectorTest, FillRespectsSize) {
   BitVector v(70);
   v.Fill();

@@ -35,6 +35,7 @@
 #include "tree/axis_cache.h"
 #include "tree/generators.h"
 #include "tree/tree.h"
+#include "tree/tree_io.h"
 
 namespace xpv {
 namespace {
@@ -173,6 +174,66 @@ TEST(SnapshotSegmentTest, WriterIsByteDeterministic) {
   ASSERT_TRUE(
       engine::WriteDocumentSegment(p2, 7, "n", tree, &cache, false).ok());
   EXPECT_EQ(ReadFileBytes(p1), ReadFileBytes(p2));
+}
+
+TEST(SnapshotSegmentTest, SegmentBytesArePinned) {
+  // CRC-32C and length of whole segment files for fixed seeded trees,
+  // with and without persisted axes. The values were taken from the
+  // writer that built each section in its own buffer; the one-buffer
+  // writer must reproduce them byte for byte, durable or not.
+  struct Pin {
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  struct Case {
+    Tree tree;
+    bool interned;
+    Pin without_axes;
+    Pin with_axes;
+  };
+  std::vector<Case> cases;
+  {
+    Rng rng(2024);
+    cases.push_back({BibliographyTree(rng, 7), false, {1870, 0x6b50d47du},
+                     {2874, 0x2e6ea217u}});
+  }
+  {
+    Rng rng(2025);
+    cases.push_back({RandomTree(rng, {.num_nodes = 300,
+                                      .alphabet_size = 5,
+                                      .max_children = 6}),
+                     true, {17004, 0xd19d9e78u}, {25696, 0xa2cc53edu}});
+  }
+  cases.push_back(
+      {PathTree(40), false, {2728, 0x3547e314u}, {3932, 0x753eb79du}});
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/pinned.xpvseg";
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    AxisCache cache(c.tree);
+    cache.Matrix(Axis::kChild);
+    cache.Matrix(Axis::kDescendant);
+    cache.Matrix(Axis::kFollowingSibling);
+    for (const engine::SegmentSync sync :
+         {engine::SegmentSync::kDurable, engine::SegmentSync::kVolatile}) {
+      for (const bool axes : {false, true}) {
+        ASSERT_TRUE(engine::WriteDocumentSegment(
+                        path, 11 + i, "pinned", c.tree,
+                        axes ? &cache : nullptr, c.interned, sync)
+                        .ok());
+        const std::vector<std::uint8_t> bytes = ReadFileBytes(path);
+        const Pin& pin = axes ? c.with_axes : c.without_axes;
+        EXPECT_EQ(bytes.size(), pin.bytes) << "case " << i << " axes " << axes;
+        EXPECT_EQ(Crc32(bytes.data(), bytes.size()), pin.crc)
+            << "case " << i << " axes " << axes;
+      }
+    }
+    // The writer sizes its buffer from EncodedTreeBytes: it must be exact.
+    std::string encoded;
+    ByteWriter w(&encoded);
+    TreeIo::EncodeTree(c.tree, w);
+    EXPECT_EQ(TreeIo::EncodedTreeBytes(c.tree), encoded.size()) << i;
+  }
 }
 
 TEST(SnapshotSegmentTest, AxisMatrixForBackingMatchesFreshCacheBitForBit) {
@@ -466,6 +527,57 @@ TEST(SnapshotStoreTest, ManifestNamingMissingSegmentFailsToOpen) {
   EXPECT_EQ(reopened.status().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotStoreTest, SaveIntoSpillDirAfterVolatileSpillsReopensIdentically) {
+  // Spill writes are not fsynced; SaveSnapshot into the spill directory
+  // syncs and adopts those segments instead of rewriting them. The
+  // reopened store must answer exactly like the one that saved, decoding
+  // only: zero parses, zero index builds.
+  const std::string dir = MakeTempDir();
+  Rng rng(44);
+  engine::DocumentStore store({.num_shards = 2,
+                               .spill_dir = dir,
+                               .max_resident_docs = 2});
+  std::vector<engine::DocumentId> ids;
+  for (std::size_t i = 0; i < 9; ++i) {
+    ids.push_back(store.Insert(FuzzTree(rng, i), "v" + std::to_string(i)));
+  }
+  ids.push_back(store.Intern(BibliographyTree(rng, 3), "interned"));
+  ASSERT_GT(store.stats().doc_spills, 0u);
+  std::vector<engine::QueryJob> jobs;
+  for (std::size_t i = 0; i < 40; ++i) {
+    engine::QueryJob job;
+    job.document = ids[rng.Below(ids.size())];
+    job.query = kQueryMix[rng.Below(std::size(kQueryMix))];
+    jobs.push_back(std::move(job));
+  }
+  std::vector<engine::QueryResult> before;
+  {
+    engine::QueryService svc({.num_threads = 2, .document_store = &store});
+    before = svc.EvaluateBatch(jobs);
+  }
+  ASSERT_TRUE(store.SaveSnapshot(dir).ok());
+
+  const std::uint64_t parses_before = Tree::GlobalParses();
+  const std::uint64_t builds_before = Tree::GlobalIndexBuilds();
+  auto reopened = engine::DocumentStore::OpenSnapshot(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  engine::DocumentStore& reloaded = *reopened.value();
+  EXPECT_EQ(Tree::GlobalParses(), parses_before);
+  EXPECT_EQ(Tree::GlobalIndexBuilds(), builds_before);
+  ASSERT_EQ(reloaded.size(), ids.size());
+  for (const engine::DocumentId id : ids) {
+    auto original = store.Fetch(id);
+    auto fetched = reloaded.Fetch(id);
+    ASSERT_TRUE(original.ok() && fetched.ok()) << id;
+    EXPECT_EQ(fetched.value()->tree(), original.value()->tree()) << id;
+    EXPECT_EQ(fetched.value()->name(), original.value()->name()) << id;
+  }
+  EXPECT_EQ(Tree::GlobalParses(), parses_before);
+  EXPECT_EQ(Tree::GlobalIndexBuilds(), builds_before);
+  engine::QueryService svc({.num_threads = 2, .document_store = &reloaded});
+  ExpectResultsEqual(before, svc.EvaluateBatch(jobs));
+}
+
 // ------------------------------------------------- spill-to-disk tests
 
 TEST(SpillTest, ColdDocumentsSpillAndFaultBackIn) {
@@ -603,6 +715,56 @@ TEST(SpillTest, RemoveOfSpilledDocumentDeletesItsSegment) {
   ASSERT_TRUE(FileExists(resident_seg));
   EXPECT_TRUE(store.Remove(resident));
   EXPECT_FALSE(FileExists(resident_seg));
+}
+
+TEST(SpillTest, RemoveKeepsSegmentsTheLiveManifestNames) {
+  // OpenSnapshot(dir) makes `dir` the spill directory, so the snapshot's
+  // own segments are the store's spill segments. Removing a document must
+  // not delete a segment MANIFEST.xpv still names: the snapshot has to
+  // stay openable until a SaveSnapshot writes a manifest without it.
+  const std::string dir = MakeTempDir();
+  Rng rng(56);
+  {
+    engine::DocumentStore seed({.num_shards = 1});
+    for (std::size_t i = 0; i < 3; ++i) seed.Insert(FuzzTree(rng, i));
+    ASSERT_TRUE(seed.SaveSnapshot(dir).ok());
+  }
+  auto opened = engine::DocumentStore::OpenSnapshot(dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  engine::DocumentStore& store = *opened.value();
+  const std::string segment = dir + "/" + engine::SegmentFileName(2);
+  ASSERT_TRUE(store.Remove(2));
+  EXPECT_TRUE(FileExists(segment));
+  {
+    auto again = engine::DocumentStore::OpenSnapshot(dir, {});
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value()->size(), 3u);
+  }
+  // A snapshot into another directory leaves this one's manifest alone,
+  // so the segment it names stays too.
+  const std::string elsewhere = MakeTempDir();
+  ASSERT_TRUE(store.SaveSnapshot(elsewhere).ok());
+  EXPECT_TRUE(FileExists(segment));
+  EXPECT_FALSE(FileExists(elsewhere + "/" + engine::SegmentFileName(2)));
+  // The next manifest in `dir` drops document 2; only then does its
+  // segment go.
+  ASSERT_TRUE(store.SaveSnapshot(dir).ok());
+  EXPECT_FALSE(FileExists(segment));
+  auto after = engine::DocumentStore::OpenSnapshot(dir, {});
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value()->size(), 2u);
+  EXPECT_EQ(after.value()->Get(2), nullptr);
+  // A spill segment no manifest names still goes with its document.
+  auto spilling = engine::DocumentStore::OpenSnapshot(
+      dir, {.num_shards = 1, .max_resident_docs = 1});
+  ASSERT_TRUE(spilling.ok()) << spilling.status().ToString();
+  const engine::DocumentId fresh = spilling.value()->Insert(FuzzTree(rng, 3));
+  spilling.value()->Insert(FuzzTree(rng, 4));  // spills `fresh`
+  const std::string fresh_segment =
+      dir + "/" + engine::SegmentFileName(fresh);
+  ASSERT_TRUE(FileExists(fresh_segment));
+  ASSERT_TRUE(spilling.value()->Remove(fresh));
+  EXPECT_FALSE(FileExists(fresh_segment));
 }
 
 TEST(SpillTest, SaveSnapshotOfSpilledCorpusReloads) {

@@ -2,6 +2,12 @@
 // structural queries, generators and the fcns binary encoding.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "tree/binary_encoding.h"
 #include "tree/generators.h"
@@ -96,6 +102,90 @@ TEST(TermParserTest, Errors) {
   EXPECT_FALSE(Tree::ParseTerm("a(b))").ok());
   EXPECT_FALSE(Tree::ParseTerm("a b").ok());
   EXPECT_FALSE(Tree::ParseTerm("1a").ok());
+}
+
+TEST(TermParserTest, ErrorOffsetsArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "expected a label at offset 0"},
+      {"   ", "expected a label at offset 3"},
+      {"(", "expected a label at offset 0"},
+      {"a(", "expected a label at offset 2"},
+      {"a()", "empty child list at offset 2"},
+      {"a(b", "expected ',', ')' or a label at offset 3"},
+      {"a(b,", "expected a label at offset 4"},
+      {"a(b,)", "expected a label at offset 4"},
+      {"a b", "trailing characters at offset 2"},
+      {"a)", "trailing characters at offset 1"},
+      {"a(b))", "trailing characters at offset 4"},
+      {"1a", "expected a label at offset 0"},
+      {"a(b 1)", "expected ',', ')' or a label at offset 4"},
+      {"a(,b)", "expected a label at offset 2"},
+      {"a(b)c", "trailing characters at offset 4"},
+      {" a ( b , c ( d ) ) x", "trailing characters at offset 19"},
+      {"a(b,,c)", "expected a label at offset 4"},
+      {"a(b(c(d)),e", "expected ',', ')' or a label at offset 11"},
+      {"\xc3\xa9", "expected a label at offset 0"},
+      {"a(\xc3\xa9)", "expected a label at offset 2"},
+      {"a(b;c)", "expected ',', ')' or a label at offset 3"},
+  };
+  for (const auto& [term, message] : cases) {
+    Result<Tree> t = Tree::ParseTerm(term);
+    ASSERT_FALSE(t.ok()) << term;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument) << term;
+    EXPECT_EQ(t.status().message(), message) << term;
+  }
+}
+
+TEST(TermParserTest, ClassifiesEveryByteAsTheCLocaleDoes) {
+  // The parser's character table must agree with <cctype> in the C
+  // locale on all 256 byte values: a name starts with isalpha or '_',
+  // continues with isalnum or one of "_-.", and isspace separates.
+  ASSERT_NE(std::setlocale(LC_CTYPE, "C"), nullptr);
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool name_start = std::isalpha(b) || c == '_';
+    const bool name_char = std::isalnum(b) || c == '_' || c == '-' || c == '.';
+    const bool space = std::isspace(b) != 0;
+
+    Result<Tree> alone = Tree::ParseTerm(std::string(1, c));
+    EXPECT_EQ(alone.ok(), name_start) << "byte " << b;
+
+    const std::string after_label = std::string("a") + c;
+    Result<Tree> tail = Tree::ParseTerm(after_label);
+    EXPECT_EQ(tail.ok(), name_char || space) << "byte " << b;
+    if (tail.ok()) {
+      EXPECT_EQ(tail->ToTerm(), name_char ? after_label : "a") << "byte " << b;
+    }
+
+    Result<Tree> separated = Tree::ParseTerm(std::string("r(a") + c + "b)");
+    EXPECT_EQ(separated.ok(), space || name_char || c == ',') << "byte " << b;
+    if (separated.ok() && !name_char) {
+      EXPECT_EQ(separated->ToTerm(), "r(a,b)") << "byte " << b;
+    }
+  }
+}
+
+TEST(TermParserTest, ToTermRoundTripsRandomDeepAndWideTrees) {
+  Rng rng(17);
+  std::vector<Tree> trees;
+  for (std::size_t i = 0; i < 40; ++i) {
+    trees.push_back(RandomTree(rng, {.num_nodes = 1 + rng.Below(400),
+                                     .alphabet_size = 1 + rng.Below(30),
+                                     .max_children = rng.Below(9)}));
+  }
+  trees.push_back(PathTree(100000, "deep"));
+  trees.push_back(StarTree(100000, "wide", "leaf"));
+  trees.push_back(PerfectBinaryTree(12, 5));
+  for (const Tree& t : trees) {
+    Result<Tree> parsed = Tree::ParseTerm(t.ToTerm());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed.value(), t);
+    EXPECT_EQ(parsed->alphabet_size(), t.alphabet_size());
+    for (LabelId l = 0; l < t.alphabet_size(); ++l) {
+      EXPECT_EQ(parsed->LabelPostings(parsed->FindLabel(t.label_string(l))),
+                t.LabelPostings(l));
+    }
+  }
 }
 
 TEST(XmlParserTest, RoundTrip) {

@@ -89,10 +89,17 @@ TEST(TsanStressTest, SpillRemoveStreamsAndBatchesCollide) {
 
   // Churn: Remove a document mid-serve, then re-insert the same content
   // under a fresh id (ids are never reused, so racing readers see
-  // kNotFound at worst, never a wrong document).
+  // kNotFound at worst, never a wrong document). It runs at least kIters
+  // rounds and on until a batch has completed against it: spill writes
+  // are not fsynced, so kIters rounds of these small documents take about
+  // 2 ms and can end before the batch thread submits anything. The cap
+  // turns a batch path that never succeeds into the failure below, not a
+  // hang.
   threads.emplace_back([&] {
     Rng rng(11);
-    for (int it = 0; it < kIters; ++it) {
+    for (int it = 0;
+         it < kIters || (ok_results.load() == 0 && it < 100 * kIters);
+         ++it) {
       const std::size_t slot = rng.Below(kDocs);
       const engine::DocumentId old_id = ids[slot].load();
       Result<Tree> tree = Tree::ParseTerm(terms[slot]);

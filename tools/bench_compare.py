@@ -48,6 +48,8 @@ FLAGGED_SECTIONS = [
     "BM_NaryBatchVsDrain",
     "BM_NaryUnionBatch",
     "BM_ProjectedEnumeration",
+    "BM_ParseTerm",
+    "BM_StoreChurn",
 ]
 
 # Families that carry no timing bar but must still be measured: a run
